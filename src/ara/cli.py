@@ -24,7 +24,6 @@ from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.jsonio import (
     ParseError,
     fams_to_json,
-    game_to_json,
     instance_digest,
     load_instance,
     tsg_to_json,

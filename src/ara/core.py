@@ -9,6 +9,7 @@ functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,9 +361,9 @@ def check_implementability(game: AraGame) -> ImplementabilityResult:
         if color[start] >= 0:
             continue
         color[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if color[v] < 0:
                     color[v] = 1 - color[u]

@@ -50,43 +50,54 @@ def enumerate_pure(game: AraGame, cap: int = DEFAULT_ENUM_CAP) -> EnumeratedStra
     out: list[PureStrategy] = []
     truncated = False
 
-    def rec(idx: int) -> bool:
-        nonlocal truncated
-        if idx == ncells:
-            if len(out) >= cap:
-                truncated = True
-                return False
-            out.append(PureStrategy(matrix.copy()))
-            return True
-        touches = by_cell[idx]
-        lo, hi = 0, cell_max[idx]
-        for ci, coeff in touches:
+    # Iterative so that the search depth (one level per cell) is not bounded
+    # by the interpreter's recursion limit.  At each open cell, value[idx] is
+    # what the cell adds to ``sums`` (0 before its first value) and
+    # nxt[idx]..hi[idx] the values still to try.
+    value = [0] * ncells
+    nxt = [0] * ncells
+    hi = [0] * ncells
+
+    def open_cell(idx: int) -> None:
+        lo, top = 0, cell_max[idx]
+        for ci, coeff in by_cell[idx]:
             con = cons[ci]
-            hi = min(hi, (con.upper - sums[ci]) // coeff)
+            top = min(top, (con.upper - sums[ci]) // coeff)
             if remaining[ci] == 1 and con.lower > sums[ci]:
                 lo = max(lo, -(-(con.lower - sums[ci]) // coeff))
-        for ci, coeff in touches:
             remaining[ci] -= 1
             max_add[ci] -= cell_max[idx] * coeff
-        keep = True
-        for v in range(lo, hi + 1):
-            matrix.flat[idx] = v
-            for ci, coeff in touches:
-                sums[ci] += v * coeff
-            feasible = all(sums[ci] + max_add[ci] >= cons[ci].lower for ci, _ in touches)
-            if feasible:
-                keep = rec(idx + 1)
-            for ci, coeff in touches:
-                sums[ci] -= v * coeff
-            if not keep:
-                break
-        matrix.flat[idx] = 0
-        for ci, coeff in touches:
-            remaining[ci] += 1
-            max_add[ci] += cell_max[idx] * coeff
-        return keep
+        value[idx], nxt[idx], hi[idx] = 0, lo, top
 
-    rec(0)
+    depth = 0
+    open_cell(0)
+    while depth >= 0:
+        touches = by_cell[depth]
+        for ci, coeff in touches:
+            sums[ci] -= value[depth] * coeff
+        v = nxt[depth]
+        if v > hi[depth]:
+            matrix.flat[depth] = 0
+            for ci, coeff in touches:
+                remaining[ci] += 1
+                max_add[ci] += cell_max[depth] * coeff
+            depth -= 1
+            continue
+        value[depth], nxt[depth] = v, v + 1
+        matrix.flat[depth] = v
+        for ci, coeff in touches:
+            sums[ci] += v * coeff
+        if not all(sums[ci] + max_add[ci] >= cons[ci].lower for ci, _ in touches):
+            continue
+        if depth + 1 < ncells:
+            depth += 1
+            open_cell(depth)
+        elif len(out) >= cap:
+            truncated = True
+            break
+        else:
+            out.append(PureStrategy(matrix.copy()))
+
     return EnumeratedStrategySet(tuple(out), truncated)
 
 

@@ -170,10 +170,6 @@ class FamsFixer:
         return x
 
 
-def fams_fix_inequalities(x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-    return FamsFixer().fix_inequalities(x, pe0, rng)
-
-
 def fams_dbr(inst: FamsInstance, d: np.ndarray, node_cap: int = DEFAULT_NODE_CAP,
              flight_weights: dict[str, float] | None = None) -> PureStrategy:
     """Exact defender best response: maximize the d-weighted allocation over

@@ -51,10 +51,6 @@ class LinearProgram:
         if self.upper is None:
             self.upper = np.full(self.num_vars, np.inf)
 
-    def set_objective(self, coeffs: dict[int, float]) -> None:
-        for j, c in coeffs.items():
-            self.objective[j] = c
-
     def add_row(self, coeffs: dict[int, float], relation: str, rhs: float, label: str = "") -> None:
         if relation not in ("<=", "=", ">="):
             raise LpError(f"unknown relation {relation!r}")
@@ -209,15 +205,11 @@ def solve_lp(lp: LinearProgram, feas_tol: float = FEAS_TOL, opt_tol: float = OPT
 
     # Reduced cost of a row's slack/artificial column is -y_i for the
     # canonical row; undo the sign flip applied during canonicalization.
-    red = c2 - T.T @ _basic_costs(c2, basis)
+    red = c2 - T.T @ c2[basis]
     duals = np.array([-red[marker[i]] * flip[i] for i in range(n_user_rows)])
 
     _verify_primal(lp, values, feas_tol)
     return LpSolution("optimal", values, objective_value, duals)
-
-
-def _basic_costs(costs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return costs[basis]
 
 
 def _pivot_loop(T, b, basis, costs, banned, feas_tol, opt_tol, cap) -> str:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from ara import cli
 from ara.cli import main, run_method
+from ara.core import AraGame, AssignmentConstraint, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.jsonio import (
     fams_from_json,
@@ -91,6 +93,17 @@ class TestSolveCommand:
 
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3
+
+    def test_exact_on_wide_game_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
+        # one level of search per cell: 1,500 cells once overflowed the stack
+        cells = frozenset((0, j) for j in range(1500))
+        game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),),
+                       (Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0),))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(game_to_json(game)))
+        monkeypatch.setattr(cli, "ENUM_CAP", 10)
+        assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -66,6 +66,17 @@ def test_truncation_flag():
         exact_maximin(game, out)
 
 
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    # the search goes one level deeper per cell
+    cells = frozenset((0, j) for j in range(1500))
+    t = Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0)
+    game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),), (t,))
+    out = enumerate_pure(game, cap=10)
+    assert out.truncated
+    assert len(out.strategies) == 10
+    assert all(is_valid_pure(game, s)[0] for s in out.strategies)
+
+
 def test_single_strategy_value():
     con = AssignmentConstraint(frozenset({(0, 0)}), 1, 1)
     t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -5.0)
