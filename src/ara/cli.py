@@ -86,9 +86,8 @@ def run_method(family: str, inst, method: str, seed: int, samples: int = DEFAULT
         result = estimate_mixed(ms, pe0, fixer, rng, samples)
         value, upper, failures = result.value, ms.upper_bound, result.sample_failures
         if family == "tsg":
-            ratios = [tsg_detection_ratio(ms.x_m.values, s.values, game).min_ratio
-                      for s in result.estimate.samples]
-            detection = min(ratios)
+            stacked = np.stack([s.values for s in result.estimate.samples])
+            detection = tsg_detection_ratio(ms.x_m.values, stacked, game).min_ratio
     else:
         raise GameError(f"unknown method {method!r}")
 

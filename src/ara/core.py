@@ -10,7 +10,8 @@ functions, so concurrent use needs no locking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,10 +153,70 @@ class AraGame:
                 raise GameError(f"{what} references cell ({i}, {j}) outside {self.k}x{self.n}")
 
     def target(self, target_id: str) -> Target:
-        for t in self.targets:
-            if t.id == target_id:
-                return t
-        raise GameError(f"unknown target {target_id!r}")
+        return self.targets[self.compiled.position(target_id)]
+
+    @cached_property
+    def compiled(self) -> "CompiledGame":
+        return CompiledGame(self)
+
+
+class CompiledGame:
+    """A game as flat index arrays; cell (i, j) is index i * n + j.
+
+    Constraint entries (cell, coefficient, segment) and target entries
+    (cell, weight, segment) run segment by segment in game order, and within
+    a segment in the iteration order of the constraint's cells or the
+    target's weights.  ``np.bincount`` adds in entry order, so segment sums
+    equal the loops over the game objects bit for bit; an empty segment (a
+    target with no cells) sums to zero.
+    """
+
+    def __init__(self, game: AraGame):
+        self.shape = (game.k, game.n)
+        cons, targets = game.constraints, game.targets
+        n = game.n
+        self.con_cell = np.fromiter((i * n + j for con in cons for i, j in con.cells), np.int64)
+        self.con_coeff = np.fromiter((con.coeff(c) for con in cons for c in con.cells), np.int64)
+        self.con_seg = np.repeat(np.arange(len(cons)), [len(con.cells) for con in cons])
+        self.lower = np.array([con.lower for con in cons], dtype=np.int64)
+        self.upper = np.array([con.upper for con in cons], dtype=np.int64)
+        self.names = tuple(con.name() for con in cons)
+        self.tgt_cell = np.fromiter((i * n + j for t in targets for i, j in t.weights), np.int64)
+        self.tgt_weight = np.fromiter((w for t in targets for w in t.weights.values()), float)
+        self.tgt_seg = np.repeat(np.arange(len(targets)), [len(t.weights) for t in targets])
+        self.payoff_defended = np.array([t.payoff_defended for t in targets])
+        self.payoff_undefended = np.array([t.payoff_undefended for t in targets])
+        self.target_index = {t.id: idx for idx, t in enumerate(targets)}
+        type_of = {tid: a_idx for a_idx, a in enumerate(game.adversary_types) for tid in a.targets}
+        self.target_type = np.array([type_of[t.id] for t in targets], dtype=np.int64)
+        self.num_types = len(game.adversary_types)
+
+    def position(self, target_id: str) -> int:
+        if target_id not in self.target_index:
+            raise GameError(f"unknown target {target_id!r}")
+        return self.target_index[target_id]
+
+    def coverages(self, x) -> np.ndarray:
+        """Per-target coverage: shape (T,) for one matrix, (m, T) for a stack."""
+        m = _values(x)
+        if m.ndim not in (2, 3) or m.shape[-2:] != self.shape:
+            raise GameError(f"strategy shape {m.shape} does not match {self.shape}")
+        flat = m.reshape(-1, self.shape[0] * self.shape[1])
+        rows, count = len(flat), len(self.target_index)
+        seg = (self.tgt_seg + count * np.arange(rows)[:, None]).ravel()
+        sums = np.bincount(seg, weights=(flat[:, self.tgt_cell] * self.tgt_weight).ravel(),
+                           minlength=rows * count).reshape(rows, count)
+        return sums if m.ndim == 3 else sums[0]
+
+    def utilities(self, x) -> np.ndarray:
+        c = self.coverages(x)
+        return c * self.payoff_defended + (1.0 - c) * self.payoff_undefended
+
+    def type_minima(self, util: np.ndarray) -> np.ndarray:
+        """Worst utility over each adversary type's targets; inf for none."""
+        out = np.full(self.num_types, np.inf)
+        np.minimum.at(out, self.target_type, util)
+        return out
 
 
 def _check_weight_bound(game: AraGame, t: Target) -> None:
@@ -175,17 +236,22 @@ def _check_weight_bound(game: AraGame, t: Target) -> None:
     unconstrained = set(t.weights) - set().union(*(con.cells for con in game.constraints))
     if any(t.weights.get(c, 0) > 0 for c in unconstrained):
         raise GameError(f"target {t.id!r} puts weight on unconstrained cells")
-    for con in game.constraints:
-        coeffs = {c[0] * game.n + c[1]: float(con.coeff(c)) for c in con.cells}
-        if con.is_equality:
-            prog.add_row(coeffs, "=", con.lower)
-        else:
-            prog.add_row(coeffs, "<=", con.upper)
-            if con.lower > 0:
-                prog.add_row(coeffs, ">=", con.lower)
+    add_constraint_rows(prog, game.constraints, lambda c: c[0] * game.n + c[1])
     sol = lpmod.solve_lp(prog)
     if sol.status == "unbounded" or (sol.status == "optimal" and sol.objective_value > 1.0 + MARGINAL_TOL):
         raise GameError(f"target {t.id!r} weights admit coverage above one")
+
+
+def add_constraint_rows(prog: lpmod.LinearProgram, constraints, var) -> None:
+    """LP rows for assignment constraints, with cell c held by variable var(c)."""
+    for con in constraints:
+        coeffs = {var(c): float(con.coeff(c)) for c in con.cells}
+        if con.is_equality:
+            prog.add_row(coeffs, "=", con.lower, label=con.name())
+        else:
+            prog.add_row(coeffs, "<=", con.upper, label=f"{con.name()} upper")
+            if con.lower > 0:
+                prog.add_row(coeffs, ">=", con.lower, label=f"{con.name()} lower")
 
 
 @dataclass(frozen=True)
@@ -258,16 +324,14 @@ def _values(x) -> np.ndarray:
 def coverage(game: AraGame, x, target_id: str, clamp: bool = False) -> float:
     """Weighted allocation mass on the target's cells; the probability the
     attack is defended.  ``clamp`` trims to [0, 1] for reporting."""
-    t = game.target(target_id)
-    m = _values(x)
-    c = float(sum(w * m[cell] for cell, w in t.weights.items()))
+    compiled = game.compiled
+    c = float(compiled.coverages(x)[compiled.position(target_id)])
     return min(1.0, max(0.0, c)) if clamp else c
 
 
 def defender_utility(game: AraGame, x, target_id: str) -> float:
-    t = game.target(target_id)
-    c = coverage(game, x, target_id)
-    return c * t.payoff_defended + (1.0 - c) * t.payoff_undefended
+    compiled = game.compiled
+    return float(compiled.utilities(x)[compiled.position(target_id)])
 
 
 def game_value(game: AraGame, x) -> float:
@@ -278,12 +342,13 @@ def game_value(game: AraGame, x) -> float:
     m = _values(x)
     if m.shape != (game.k, game.n):
         raise GameError(f"strategy shape {m.shape} does not match {(game.k, game.n)}")
+    compiled = game.compiled
     total = 0.0
-    for a in game.adversary_types:
+    for a, worst in zip(game.adversary_types, compiled.type_minima(compiled.utilities(m))):
         if a.probability == 0.0 or not a.targets:
             continue
-        total += a.probability * min(defender_utility(game, m, t) for t in sorted(a.targets))
-    return total
+        total += a.probability * worst
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -298,12 +363,15 @@ class Violation:
 
 
 def constraint_violations(game: AraGame, matrix: np.ndarray, tol: float = 0.0) -> list[Violation]:
-    out = []
-    for con in game.constraints:
-        v = con.value(matrix)
-        if v < con.lower - tol or v > con.upper + tol:
-            out.append(Violation(con.name(), v, con.lower, con.upper))
-    return out
+    compiled = game.compiled
+    m = _values(matrix)
+    if m.shape != compiled.shape:
+        raise GameError(f"strategy shape {m.shape} does not match {compiled.shape}")
+    sums = np.bincount(compiled.con_seg, weights=m.ravel()[compiled.con_cell] * compiled.con_coeff,
+                       minlength=len(compiled.names))
+    bad = np.flatnonzero((sums < compiled.lower - tol) | (sums > compiled.upper + tol))
+    return [Violation(compiled.names[i], float(sums[i]), int(compiled.lower[i]),
+                      int(compiled.upper[i])) for i in bad]
 
 
 def is_valid_pure(game: AraGame, p) -> tuple[bool, list[Violation]]:
@@ -312,12 +380,10 @@ def is_valid_pure(game: AraGame, p) -> tuple[bool, list[Violation]]:
     m = _values(p)
     if m.shape != (game.k, game.n):
         raise GameError(f"strategy shape {m.shape} does not match {(game.k, game.n)}")
-    violations = []
     frac = np.abs(m - np.rint(m))
     if np.any(frac > 0):
-        bad = np.argwhere(frac > 0)
-        violations.append(Violation(f"integrality at cell {tuple(bad[0])}", float(m[tuple(bad[0])]), 0, 0))
-        return False, violations
+        bad = tuple(np.argwhere(frac > 0)[0])
+        return False, [Violation(f"integrality at cell {bad}", float(m[bad]), 0, 0)]
     violations = constraint_violations(game, np.rint(m).astype(np.int64), tol=0.0)
     return not violations, violations
 

@@ -332,12 +332,9 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
              for f in flights}
     delta = {f.id: f.u_def - f.u_undef for f in flights}
 
-    def cov_vector(p: PureStrategy) -> np.ndarray:
-        return np.array([p.values[:, fcols[f.id]].sum() for f in flights], dtype=float)
-
     empty = PureStrategy(np.zeros((inst.num_marshals, len(inst.schedules)), dtype=np.int64))
     columns = [empty]
-    covs = [cov_vector(empty)]
+    covs = [game.compiled.coverages(empty)]  # per flight, in flight order
     floor = min(f.u_undef for f in flights) if flights else 0.0
 
     for it in range(1, max_iters + 1):
@@ -369,7 +366,7 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
                 d[:, fcols[f.id]] += y[fi] * delta[f.id]
                 masses[f.id] = y[fi] * delta[f.id]
         column = fams_dbr(inst, d, node_cap=node_cap, flight_weights=masses)
-        cov = cov_vector(column)
+        cov = game.compiled.coverages(column)
         slave_value = float(sum(y[fi] * (f.u_undef + cov[fi] * delta[f.id])
                                 for fi, f in enumerate(flights)))
         if slave_value <= mu + tolerance:

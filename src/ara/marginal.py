@@ -44,8 +44,8 @@ from ara.core import (
     GameError,
     MARGINAL_TOL,
     MarginalStrategy,
+    add_constraint_rows,
     constraint_violations,
-    defender_utility,
 )
 from ara.lp import LinearProgram, solve_lp
 
@@ -93,9 +93,9 @@ def solve_marginal(game: AraGame) -> MarginalSolution:
         raise GameError("marginal solution violates constraints: " + "; ".join(map(str, bad)))
     x_m = MarginalStrategy(x)
 
-    per_type = {a.id: min(defender_utility(game, x, t) for t in sorted(a.targets))
-                if a.targets else 0.0
-                for a in game.adversary_types}
+    worst = game.compiled.type_minima(game.compiled.utilities(x))
+    per_type = {a.id: float(w) if a.targets else 0.0
+                for a, w in zip(game.adversary_types, worst)}
     upper = sum(a.probability * per_type[a.id] for a in game.adversary_types)
     if abs(upper - sol.objective_value) > 1e-6 * max(1.0, abs(upper)):
         raise GameError(f"marginal objective {sol.objective_value} disagrees with "
@@ -128,14 +128,7 @@ def _marginal_lp(game: AraGame, constraints, var, nx: int) -> LinearProgram:
                     coeffs[var(cell)] = -w * delta
             prog.add_row(coeffs, "<=", t.payoff_undefended, label=f"target {tid}")
 
-    for con in constraints:
-        coeffs = {var(c): float(con.coeff(c)) for c in con.cells}
-        if con.is_equality:
-            prog.add_row(coeffs, "=", con.lower, label=con.name())
-        else:
-            prog.add_row(coeffs, "<=", con.upper, label=f"{con.name()} upper")
-            if con.lower > 0:
-                prog.add_row(coeffs, ">=", con.lower, label=f"{con.name()} lower")
+    add_constraint_rows(prog, constraints, var)
     return prog
 
 

@@ -5,6 +5,11 @@ in exactly one equality constraint, all inequalities with lower bound 0),
 comb-samples each equality group so the group sum survives rounding, then
 hands the integral matrix to domain fixers that repair inequalities by
 decreasing cells and equalities by increasing them.
+
+RNG draw order.  Each attempt at a sample takes one ``rng.random(G)``: a
+uniform for each of the G equality groups with fractional mass, in
+partition order, the same numbers as ``comb_sample`` group by group.  The
+domain fixer's draws follow; a failed equality repair starts a new attempt.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from ara.core import (
     MarginalStrategy,
     MixedStrategyEstimate,
     PureStrategy,
-    Violation,
+    constraint_violations,
     game_value,
 )
 from ara.marginal import MarginalSolution
@@ -102,17 +107,7 @@ def to_pe0(game: AraGame) -> Pe0Form:
             raise Pe0StructureError(f"{con.name()} has lower bound {con.lower}; "
                                     "only 0 or equality bounds are supported")
 
-    if eqs:
-        covered: set = set()
-        for con in eqs:
-            overlap = covered & con.cells
-            if overlap:
-                raise Pe0StructureError(f"equalities {con.name()} overlap at {sorted(overlap)[0]}")
-            covered |= con.cells
-        every = {(i, j) for i in range(game.k) for j in range(game.n)}
-        if covered != every:
-            missing = sorted(every - covered)[0]
-            raise Pe0StructureError(f"equalities do not cover cell {missing}")
+    if eqs:  # Pe0Form checks that they partition the matrix
         return Pe0Form(game, tuple(eqs), tuple(ineqs), game, game.n)
 
     # Row-budget form: every row needs one inequality over exactly its cells.
@@ -159,7 +154,9 @@ def comb_sample(x_m, S: AssignmentConstraint, rng: np.random.Generator) -> dict:
     return {cell: int(v) for cell, v in zip(cells, rounded)}
 
 
-def _comb_round(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Floors, cumulative fractional parts and bucket count of one group;
+    parts within 1e-7 of an integer count as integral."""
     floors = np.floor(vals)
     frac = vals - floors
     snap = frac > 1.0 - 1e-7
@@ -170,10 +167,13 @@ def _comb_round(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     buckets = int(round(total))
     if abs(total - buckets) > COMB_SUM_TOL:
         raise GameError(f"fractional mass {total} is not integral within {COMB_SUM_TOL}")
-    out = floors.astype(np.int64)
+    return floors.astype(np.int64), np.cumsum(frac), buckets
+
+
+def _comb_round(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    out, cum, buckets = _comb_prepare(vals)
     if buckets == 0:
         return out
-    cum = np.cumsum(frac)
     z = rng.random()
     marks = np.minimum(np.arange(buckets) + z, cum[-1] - 1e-12)
     hits = np.searchsorted(cum, marks, side="right")
@@ -181,51 +181,48 @@ def _comb_round(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-class _PartitionSampler:
-    """Index arrays for comb sampling a fixed equality partition."""
+class _CombSampler:
+    """Comb rounding of one fixed marginal over a whole equality partition,
+    with the same numbers as ``comb_sample`` applied group by group in
+    partition order.
 
-    def __init__(self, pe0: Pe0Form):
+    Floors, cumulative fractions and bucket counts are computed once.  A
+    sample draws one uniform per group with fractional mass and finds every
+    mark's cell with one search over keys draw + 1j * cumulative fraction
+    (both parts exact): NumPy orders complex numbers by real, then imaginary
+    part, so the search stays within each group and compares the same floats
+    as the per-group search.
+    """
+
+    def __init__(self, pe0: Pe0Form, x: np.ndarray):
         self.shape = (pe0.game.k, pe0.game.n)
-        self.groups = []
+        values = x.ravel()
+        self.base = np.zeros(values.size, dtype=np.int64)
+        groups = []  # (cells, cumulative fractions, buckets) of groups that draw
         for con in pe0.equality_partition:
-            cells = con.sorted_cells()
-            rows = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-            cols = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-            self.groups.append((rows, cols))
+            flat = np.array([i * self.shape[1] + j for i, j in con.sorted_cells()], dtype=np.int64)
+            self.base[flat], cum, buckets = _comb_prepare(values[flat])
+            if buckets:
+                groups.append((flat, cum, buckets))
+        self.draws = len(groups)
+        if self.draws:
+            cells, cums, buckets = zip(*groups)
+            sizes = [len(c) for c in cells]
+            self.keys = np.repeat(np.arange(self.draws), sizes) + 1j * np.concatenate(cums)
+            self.key_cell = np.concatenate(cells)
+            self.mark_draw = np.repeat(np.arange(self.draws), buckets)
+            self.mark_t = np.concatenate([np.arange(b, dtype=float) for b in buckets])
+            self.mark_cap = np.array([cum[-1] - 1e-12 for cum in cums])[self.mark_draw]
+            self.mark_last = (np.cumsum(sizes) - 1)[self.mark_draw]
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        for rows, cols in self.groups:
-            out[rows, cols] = _comb_round(x[rows, cols], rng)
-        return out
-
-
-class _FastChecker:
-    """Constraint sums via index arrays; exact integer validity check."""
-
-    def __init__(self, game: AraGame):
-        self.specs = []
-        for con in game.constraints:
-            cells = con.sorted_cells()
-            rows = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-            cols = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-            coeffs = np.fromiter((con.coeff(c) for c in cells), dtype=np.int64, count=len(cells))
-            unit = bool(np.all(coeffs == 1))
-            self.specs.append((rows, cols, coeffs, unit, con.lower, con.upper, con.name()))
-
-    def violations(self, x: np.ndarray) -> list[Violation]:
-        out = []
-        for rows, cols, coeffs, unit, lo, hi, name in self.specs:
-            picked = x[rows, cols]
-            v = int(picked.sum()) if unit else int((picked * coeffs).sum())
-            if v < lo or v > hi:
-                out.append(Violation(name, v, lo, hi))
-        return out
-
-
-def _comb_sample_matrix(pe0: Pe0Form, x_m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One fresh uniform draw per equality constraint, in partition order."""
-    return _PartitionSampler(pe0).sample(x_m, rng)
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        out = self.base.copy()
+        if self.draws:
+            z = rng.random(self.draws)
+            marks = np.minimum(self.mark_t + z[self.mark_draw], self.mark_cap)
+            hits = np.searchsorted(self.keys, self.mark_draw + 1j * marks, side="right")
+            np.add.at(out, self.key_cell[np.minimum(hits, self.mark_last)], 1)
+        return out.reshape(self.shape)
 
 
 def _marginal_on_pe0(ms: MarginalSolution, pe0: Pe0Form) -> np.ndarray:
@@ -245,18 +242,11 @@ def _marginal_on_pe0(ms: MarginalSolution, pe0: Pe0Form) -> np.ndarray:
     return ext
 
 
-class _SampleContext:
-    def __init__(self, ms: MarginalSolution, pe0: Pe0Form):
-        self.x_ext = _marginal_on_pe0(ms, pe0)
-        self.sampler = _PartitionSampler(pe0)
-        self.checker = _FastChecker(pe0.source_game)
-
-
-def _sample_with_stats(ctx: _SampleContext, pe0: Pe0Form, fixer: DomainFixer,
+def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
                        rng: np.random.Generator, retry_cap: int) -> tuple[np.ndarray, int]:
     failures = 0
     for _ in range(retry_cap + 1):
-        x = ctx.sampler.sample(ctx.x_ext, rng)
+        x = sampler.sample(rng)
         fixed = fixer.fix_inequalities(x, pe0, rng)
         if np.any(fixed > x):
             raise GameError("inequality fixer increased a cell")
@@ -268,7 +258,7 @@ def _sample_with_stats(ctx: _SampleContext, pe0: Pe0Form, fixer: DomainFixer,
         if np.any(done < fixed):
             raise GameError("equality fixer decreased a cell")
         candidate = pe0.strip(done)
-        bad = ctx.checker.violations(candidate)
+        bad = constraint_violations(pe0.source_game, candidate)
         if bad:
             raise GameError("fixers produced an invalid strategy: "
                             + "; ".join(map(str, bad)))
@@ -280,7 +270,8 @@ def sample_pure(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
                 rng: np.random.Generator, retry_cap: int = DEFAULT_RETRY_CAP) -> PureStrategy:
     """Draw one valid pure strategy for the source game, resampling with
     fresh randomness when equality repair fails."""
-    matrix, _ = _sample_with_stats(_SampleContext(ms, pe0), pe0, fixer, rng, retry_cap)
+    sampler = _CombSampler(pe0, _marginal_on_pe0(ms, pe0))
+    matrix, _ = _sample_with_stats(sampler, pe0, fixer, rng, retry_cap)
     return PureStrategy(matrix)
 
 
@@ -298,11 +289,11 @@ def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
     averaged matrix."""
     if m < 1:
         raise GameError("need at least one sample")
-    ctx = _SampleContext(ms, pe0)
+    sampler = _CombSampler(pe0, _marginal_on_pe0(ms, pe0))
     samples = []
     failures = 0
     for _ in range(m):
-        matrix, f = _sample_with_stats(ctx, pe0, fixer, rng, retry_cap)
+        matrix, f = _sample_with_stats(sampler, pe0, fixer, rng, retry_cap)
         samples.append(PureStrategy(matrix))
         failures += f
     est = MixedStrategyEstimate.from_samples(samples)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ara.core import AdversaryType, AraGame, AssignmentConstraint, GameError, Target, coverage
+from ara.core import AdversaryType, AraGame, AssignmentConstraint, GameError, Target
 from ara.sampling import EqualityFixFailed, Pe0Form
 
 
@@ -136,12 +136,13 @@ class TsgFixer:
 
     def __init__(self, inst: TsgInstance):
         self.inst = inst
-        self.usage = [Counter(t.members) for t in inst.teams]
+        self.passengers = np.array([c.passengers for c in inst.categories], dtype=np.int64)
         self._ctx = None
 
     def _context(self, pe0: Pe0Form):
-        """Per-capacity index arrays, with cells pre-sorted in the repair
-        order (descending passengers, then category id, then team id)."""
+        """Per-capacity index arrays with cells in repair order (descending
+        passengers, category id, team id), each team's (capacity, multiplicity)
+        pairs, and the refill order (ascending passengers, category id)."""
         if self._ctx is None or self._ctx[0] is not pe0:
             cats = self.inst.categories
             caps = []
@@ -154,48 +155,37 @@ class TsgFixer:
                 coeffs = np.fromiter((con.coeff(c) for c in cells), dtype=np.int64,
                                      count=len(cells))
                 caps.append((con.name(), rows, cols, coeffs, con.upper))
-            cap_index = {name: idx for idx, (name, *_rest) in enumerate(caps)}
-            member_caps = []
-            for i in range(len(self.inst.teams)):
-                member_caps.append([(cap_index[f"capacity {r}"], mult)
-                                    for r, mult in sorted(self.usage[i].items())
-                                    if f"capacity {r}" in cap_index])
-            self._ctx = (pe0, caps, member_caps)
-        return self._ctx[1], self._ctx[2]
+            member_caps = [[] for _ in self.inst.teams]
+            for idx, (_name, rows, _cols, coeffs, _upper) in enumerate(caps):
+                for i, mult in dict(zip(rows.tolist(), coeffs.tolist())).items():
+                    member_caps[i].append((idx, mult))
+            refill = sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id))
+            self._ctx = (pe0, caps, member_caps, refill)
+        return self._ctx[1:]
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        caps, _ = self._context(pe0)
+        caps, member_caps, _ = self._context(pe0)
         x = x.copy()
-        used = [int((x[rows, cols] * coeffs).sum()) for _, rows, cols, coeffs, _u in caps]
-        while True:
-            worst, excess = -1, 0
-            for idx, (_name, _r, _c, _w, upper) in enumerate(caps):
-                over = used[idx] - upper
-                if over > excess:
-                    worst, excess = idx, over
-            if worst < 0:
-                return x
-            name, rows, cols, coeffs, upper = caps[worst]
+        over = np.array([int((x[rows, cols] * coeffs).sum()) - upper
+                         for _, rows, cols, coeffs, upper in caps], dtype=np.int64)
+        while caps and over.max() > 0:
+            _name, rows, cols, _coeffs, _upper = caps[int(np.argmax(over))]  # first of the worst
             hit = int(np.nonzero(x[rows, cols] > 0)[0][0])
-            cell = (rows[hit], cols[hit])
-            x[cell] -= 1
+            x[rows[hit], cols[hit]] -= 1
             # the decremented team may draw on several resources
-            for idx, (_name, r2, c2, w2, _u) in enumerate(caps):
-                match = (r2 == cell[0]) & (c2 == cell[1])
-                if match.any():
-                    used[idx] -= int(w2[match][0])
+            for idx, mult in member_caps[rows[hit]]:
+                over[idx] -= mult
+        return x
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        caps, member_caps = self._context(pe0)
+        caps, member_caps, refill = self._context(pe0)
         x = x.copy()
         slack = [upper - int((x[rows, cols] * coeffs).sum())
                  for _n, rows, cols, coeffs, upper in caps]
-
-        order = sorted(range(len(self.inst.categories)),
-                       key=lambda j: (self.inst.categories[j].passengers,
-                                      self.inst.categories[j].id))
-        for j in order:
-            need = self.inst.categories[j].passengers - int(x[:, j].sum())
+        # refilling category j changes column j only
+        short = self.passengers - x.sum(axis=0)
+        for j in refill:
+            need = int(short[j])
             while need > 0:
                 best_team, best_bottleneck = -1, None
                 for i, members in enumerate(member_caps):
@@ -213,16 +203,6 @@ class TsgFixer:
         return x
 
 
-def tsg_fix_inequalities(x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator,
-                         inst: TsgInstance) -> np.ndarray:
-    return TsgFixer(inst).fix_inequalities(x, pe0, rng)
-
-
-def tsg_fix_equalities(x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator,
-                       inst: TsgInstance) -> np.ndarray:
-    return TsgFixer(inst).fix_equalities(x, pe0, rng)
-
-
 @dataclass(frozen=True)
 class DetectionRatio:
     per_category: dict[str, float]
@@ -232,10 +212,14 @@ class DetectionRatio:
 def tsg_detection_ratio(x_before, x_after, game: AraGame) -> DetectionRatio:
     """Per-category ratio of detection probability after an alteration to
     before it; categories with no prior coverage count as unchanged.  The
-    minimum certifies the constant in the per-run approximation bound."""
-    ratios = {}
-    for t in game.targets:
-        before = coverage(game, x_before, t.id)
-        after = coverage(game, x_after, t.id)
-        ratios[t.id] = 1.0 if before < 1e-12 else after / before
-    return DetectionRatio(ratios, min(ratios.values()) if ratios else 1.0)
+    minimum certifies the constant in the per-run approximation bound.
+
+    ``x_after`` is one matrix or a stack of matrices (one per sample); for
+    a stack, each category keeps its smallest ratio over the stack."""
+    compiled = game.compiled
+    before = compiled.coverages(x_before)
+    after = compiled.coverages(x_after).reshape(-1, len(before))
+    unchanged = before < 1e-12
+    ratio = np.where(unchanged, 1.0, after / np.where(unchanged, 1.0, before)).min(axis=0)
+    per_category = {t.id: float(r) for t, r in zip(game.targets, ratio)}
+    return DetectionRatio(per_category, float(ratio.min()) if len(ratio) else 1.0)

@@ -9,6 +9,7 @@ assignment constraints.
 import numpy as np
 import pytest
 
+from ara.core import AdversaryType, AraGame, AssignmentConstraint, Target
 from ara.fams import FamsInstance, FlightSpec, Schedule
 from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance
 
@@ -93,3 +94,35 @@ def random_toy_tsg(rng: np.random.Generator) -> TsgInstance:
         if total_n > sum(c.capacity for c in resources):
             continue
         return TsgInstance(resources, tuple(teams), tuple(categories), risks)
+
+
+def random_raw_game(rng: np.random.Generator) -> AraGame:
+    """Random raw game, unchecked weights: constraints over random cell sets
+    with random integer coefficients and bounds, targets with random
+    weights, the last target with no cells, and two adversary types."""
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    every = [(i, j) for i in range(k) for j in range(n)]
+
+    def cell_set():
+        picked = rng.choice(len(every), size=int(rng.integers(1, len(every) + 1)), replace=False)
+        return [every[p] for p in picked]
+
+    constraints = []
+    for c in range(int(rng.integers(1, 5))):
+        cells = cell_set()
+        coeffs = {cell: int(rng.integers(1, 4)) for cell in cells if rng.random() < 0.5}
+        lower = int(rng.integers(0, 3))
+        constraints.append(AssignmentConstraint(frozenset(cells), lower,
+                                                lower + int(rng.integers(0, 4)),
+                                                label=f"con {c}", coeffs=coeffs or None))
+    targets = []
+    for t in range(int(rng.integers(1, 4))):
+        cells = cell_set()
+        targets.append(Target(f"t{t}", frozenset(cells),
+                              {cell: float(rng.random()) for cell in cells},
+                              -1.0, -float(rng.integers(2, 11))))
+    targets.append(Target("empty", frozenset(), {}, -1.0, -3.0))
+    ids = [t.id for t in targets]
+    types = (AdversaryType("a", 0.25, frozenset(ids[::2])),
+             AdversaryType("b", 0.75, frozenset(ids[1::2])))
+    return AraGame(k, n, tuple(constraints), tuple(targets), types, validate_weights=False)

@@ -6,7 +6,7 @@ import pytest
 
 from ara import cli
 from ara.cli import main, run_method
-from ara.core import AraGame, AssignmentConstraint, Target
+from ara.core import AraGame, AssignmentConstraint, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.jsonio import (
     fams_from_json,
@@ -18,6 +18,7 @@ from ara.jsonio import (
     tsg_to_json,
 )
 from ara.fams import encode_fams
+from ara.marginal import MarginalSolution, solve_marginal
 from ara.reports import SolveReport
 
 
@@ -104,6 +105,19 @@ class TestSolveCommand:
         monkeypatch.setattr(cli, "ENUM_CAP", 10)
         assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_non_integral_fractional_mass_is_a_solver_error(self, tsg_file, monkeypatch,
+                                                            capsys):
+        def shifted(game):
+            ms = solve_marginal(game)
+            x = ms.x_m.values.copy()
+            x[0, 0] += 0.3  # the first category's mass is no longer integral
+            return MarginalSolution(MarginalStrategy(x), ms.upper_bound, ms.per_type_values)
+
+        monkeypatch.setattr(cli, "solve_marginal", shifted)
+        assert main(["solve", "--instance", str(tsg_file), "--method", "rand",
+                     "--samples", "10"]) == 3
+        assert "not integral" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -17,8 +17,9 @@ from ara.core import (
     game_value,
     is_valid_pure,
 )
-from ara.fams import encode_fams
+from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.tsg import encode_tsg
+from conftest import random_raw_game
 
 
 def single_target_game(u_def=-1.0, u_undef=-5.0, weight=1.0):
@@ -182,6 +183,69 @@ class TestValidPure:
         ok, _ = is_valid_pure(game, m)
         assert ok
         assert constraint_violations(game, m.astype(float), tol=1e-7) == []
+
+
+def loop_coverage(game, m, t):
+    return float(sum(w * m[cell] for cell, w in t.weights.items()))
+
+
+def loop_game_value(game, m):
+    total = 0.0
+    for a in game.adversary_types:
+        if a.probability == 0.0 or not a.targets:
+            continue
+        utils = []
+        for tid in a.targets:
+            t = game.target(tid)
+            c = loop_coverage(game, m, t)
+            utils.append(c * t.payoff_defended + (1.0 - c) * t.payoff_undefended)
+        total += a.probability * min(utils)
+    return total
+
+
+class TestCompiledGame:
+    """The index-array form against loops over the game objects."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_violations_match_constraint_loop(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        game = random_raw_game(rng)
+        for _ in range(10):
+            m = rng.integers(0, 4, size=(game.k, game.n))
+            expected = [(c.name(), c.value(m)) for c in game.constraints
+                        if not c.lower <= c.value(m) <= c.upper]
+            got = [(v.constraint, v.achieved) for v in constraint_violations(game, m)]
+            assert got == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_coverage_and_value_match_loops(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        game = random_raw_game(rng)
+        for _ in range(5):
+            m = rng.random((game.k, game.n)) * 2
+            for t in game.targets:
+                assert coverage(game, m, t.id) == pytest.approx(loop_coverage(game, m, t),
+                                                                abs=1e-12)
+            assert game_value(game, m) == pytest.approx(loop_game_value(game, m), abs=1e-12)
+        stack = rng.integers(0, 3, size=(4, game.k, game.n))
+        per_sample = np.array([[loop_coverage(game, s, t) for t in game.targets] for s in stack])
+        assert np.allclose(game.compiled.coverages(stack), per_sample, rtol=0, atol=1e-12)
+
+    def test_flight_in_no_schedule_has_zero_coverage(self):
+        inst = FamsInstance(2, (Schedule("s0", frozenset({"f0"})),),
+                            (FlightSpec("f0", -1.0, -4.0), FlightSpec("lonely", -1.0, -6.0)))
+        game = encode_fams(inst)
+        m = np.array([[1], [0]])
+        assert coverage(game, m, "f0") == 1.0
+        assert coverage(game, m, "lonely") == 0.0
+        assert game_value(game, m) == -6.0 == loop_game_value(game, m)
+
+    def test_wrong_shape_is_a_game_error(self, fig1c_tsg):
+        game = encode_tsg(fig1c_tsg)
+        with pytest.raises(GameError, match="shape"):
+            constraint_violations(game, np.zeros((3, 4)))
+        with pytest.raises(GameError, match="shape"):
+            coverage(game, np.zeros((2, 3)), "c_r1_f1")
 
 
 class TestImplementability:

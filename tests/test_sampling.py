@@ -1,15 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target, game_value, is_valid_pure
 from ara.fams import FamsFixer, encode_fams
+from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.marginal import MarginalSolution, solve_marginal
 from ara.sampling import (
     EqualityFixFailed,
+    Pe0Form,
     Pe0StructureError,
     SamplingFailure,
+    _CombSampler,
     _comb_round,
-    _comb_sample_matrix,
     _marginal_on_pe0,
     comb_sample,
     estimate_mixed,
@@ -108,6 +112,86 @@ class TestCombSample:
             assert out.sum() == pytest.approx(raw.sum())
 
 
+def random_partition(rng):
+    """A PE0 form whose equalities are a random partition of a random
+    matrix, and a marginal with an integral sum on every group.  Some groups
+    are all integral (no draw), some hold cells within 1e-7 of an integer."""
+    k, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    order = [(i, j) for i in range(k) for j in range(n)]
+    order = [order[p] for p in rng.permutation(len(order))]
+    x = np.zeros((k, n))
+    groups = []
+    while order:
+        size = int(rng.integers(1, 6))
+        cells, order = order[:size], order[size:]
+        vals = rng.random(len(cells)) * 3
+        kind = rng.integers(3)
+        if kind == 0:
+            vals = np.floor(vals)
+        elif kind == 1:
+            near = rng.random(len(vals)) < 0.5
+            jitter = rng.choice([-5e-8, 5e-8], int(near.sum()))
+            vals[near] = np.maximum(np.round(vals[near]) + jitter, 0.0)
+        vals[-1] = np.ceil(vals.sum()) - vals[:-1].sum()
+        for cell, v in zip(cells, vals):
+            x[cell] = v
+        total = int(np.round(vals.sum()))
+        groups.append(AssignmentConstraint(frozenset(cells), total, total,
+                                           label=f"group {len(groups)}"))
+    game = AraGame(k, n, tuple(groups), (), validate_weights=False)
+    return Pe0Form(game, tuple(groups), (), game, n), x
+
+
+class TestCombSampler:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_group_comb_sample(self, seed):
+        pe0, x = random_partition(np.random.default_rng(300 + seed))
+        sampler = _CombSampler(pe0, x)
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            want = np.zeros(x.shape, dtype=np.int64)
+            for con in pe0.equality_partition:
+                for cell, v in comb_sample(x, con, looped).items():
+                    want[cell] = v
+            got = sampler.sample(batched)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert batched.random() == looped.random()  # same number of draws
+
+    def test_non_integral_mass_fails_at_construction(self):
+        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 1, 1, label="row")
+        game = AraGame(1, 2, (con,), (), validate_weights=False)
+        pe0 = Pe0Form(game, (con,), (), game, 2)
+        with pytest.raises(GameError, match="not integral"):
+            _CombSampler(pe0, np.array([[0.4, 0.3]]))
+
+
+class TestSeededOutputs:
+    """Figures recorded with the per-group sampler before comb rounding was
+    batched: the RNG draw order, and so every seeded sample, is unchanged."""
+
+    @staticmethod
+    def run(inst, fixer, encode):
+        pe0 = to_pe0(encode(inst))
+        ms = solve_marginal(pe0.game)
+        res = estimate_mixed(ms, pe0, fixer, np.random.default_rng(11), m=200)
+        stacked = np.stack([s.values for s in res.estimate.samples]).astype(np.int64)
+        return res.value, hashlib.sha256(stacked.tobytes()).hexdigest()
+
+    def test_tsg(self):
+        inst = gen_tsg(GenConfig(seed=3, family="tsg", flights=10))
+        value, digest = self.run(inst, TsgFixer(inst), encode_tsg)
+        assert value == -3.4832501214863796
+        assert digest == "7da0d4c734e12ccf6238c2c34ae1a6cffcc9c2c3f94a327879b18b9488b5cace"
+
+    def test_fams(self):
+        inst = gen_fams(GenConfig(seed=0, family="fams", flights=12, schedules=24,
+                                  targets_per_schedule=2, resources=4))
+        value, digest = self.run(inst, FamsFixer(), encode_fams)
+        assert value == -3.7450000000000006
+        assert digest == "7ba8469dc68ada78abcaa0e380e6dec75305750af782c611fae65562bf23cdec"
+
+
 class TestSamplePure:
     def test_fig1b_sampling_is_valid(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
@@ -189,11 +273,12 @@ class TestMarginalPreservation:
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
         x = _marginal_on_pe0(ms, pe0)
+        sampler = _CombSampler(pe0, x)
         rng = np.random.default_rng(11)
         n = 20_000
         acc = np.zeros_like(x)
         for _ in range(n):
-            acc += _comb_sample_matrix(pe0, x, rng)
+            acc += sampler.sample(rng)
         tol = 3 * np.sqrt(0.25 / n)
         assert np.max(np.abs(acc / n - x)) < tol
 
@@ -201,10 +286,10 @@ class TestMarginalPreservation:
         game = encode_fams(fig1b_fams)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
-        x = _marginal_on_pe0(ms, pe0)
+        sampler = _CombSampler(pe0, _marginal_on_pe0(ms, pe0))
         rng = np.random.default_rng(12)
         for _ in range(500):
-            s = _comb_sample_matrix(pe0, x, rng)
+            s = sampler.sample(rng)
             for con in pe0.equality_partition:
                 assert con.value(s) == con.lower
 

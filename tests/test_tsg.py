@@ -14,10 +14,8 @@ from ara.tsg import (
     TsgInstance,
     encode_tsg,
     tsg_detection_ratio,
-    tsg_fix_equalities,
-    tsg_fix_inequalities,
 )
-from conftest import random_toy_tsg
+from conftest import random_raw_game, random_toy_tsg
 
 
 class TestEncode:
@@ -78,14 +76,14 @@ class TestFixInequalities:
         x = np.array([[2, 3, 3],
                       [0, 0, 0],
                       [0, 0, 12]], dtype=np.int64)  # x-ray rows carry 8 > 7
-        out = tsg_fix_inequalities(x, pe0, np.random.default_rng(0), fig1c_tsg)
+        out = TsgFixer(fig1c_tsg).fix_inequalities(x, pe0, np.random.default_rng(0))
         assert out[0, 2] == 2  # one unit removed from the 15-passenger column
         assert np.array_equal(x - out, np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
 
     def test_no_violation_unchanged(self, fig1c_tsg):
         pe0 = to_pe0(encode_tsg(fig1c_tsg))
         x = np.array([[2, 3, 2], [0, 0, 0], [0, 0, 13]], dtype=np.int64)
-        out = tsg_fix_inequalities(x, pe0, np.random.default_rng(0), fig1c_tsg)
+        out = TsgFixer(fig1c_tsg).fix_inequalities(x, pe0, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_most_violated_resource_first(self):
@@ -110,7 +108,7 @@ class TestFixInequalities:
             for j, cat in enumerate(fig1c_tsg.categories):
                 split = rng.multinomial(cat.passengers, [1 / 3] * 3)
                 x[:, j] = split
-            out = tsg_fix_inequalities(x, pe0, rng, fig1c_tsg)
+            out = TsgFixer(fig1c_tsg).fix_inequalities(x, pe0, rng)
             assert np.all(out <= x)
 
 
@@ -119,14 +117,14 @@ class TestFixEqualities:
         pe0 = to_pe0(encode_tsg(fig1c_tsg))
         # after capacity repair: x-ray saturated at 7, third column short one
         x = np.array([[2, 3, 2], [0, 0, 0], [0, 0, 12]], dtype=np.int64)
-        out = tsg_fix_equalities(x, pe0, np.random.default_rng(0), fig1c_tsg)
+        out = TsgFixer(fig1c_tsg).fix_equalities(x, pe0, np.random.default_rng(0))
         assert out[2, 2] == 13  # only the md-only team has slack
         assert np.array_equal(out - x, np.array([[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
 
     def test_satisfied_unchanged(self, fig1c_tsg):
         pe0 = to_pe0(encode_tsg(fig1c_tsg))
         x = np.array([[2, 3, 2], [0, 0, 0], [0, 0, 13]], dtype=np.int64)
-        out = tsg_fix_equalities(x, pe0, np.random.default_rng(0), fig1c_tsg)
+        out = TsgFixer(fig1c_tsg).fix_equalities(x, pe0, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_least_slack_team_used(self):
@@ -137,7 +135,7 @@ class TestFixEqualities:
             risk_levels=(RiskLevel("risk", 1.0),))
         pe0 = to_pe0(encode_tsg(inst))
         x = np.zeros((2, 1), dtype=np.int64)  # deficit 1; slacks are {1, 4}
-        out = tsg_fix_equalities(x, pe0, np.random.default_rng(0), inst)
+        out = TsgFixer(inst).fix_equalities(x, pe0, np.random.default_rng(0))
         assert out[0, 0] == 1 and out[1, 0] == 0
 
     def test_failure_signals_resample(self):
@@ -151,7 +149,7 @@ class TestFixEqualities:
         # both resources saturated by the first column; second column short
         x = np.array([[2, 0], [2, 0]], dtype=np.int64)
         with pytest.raises(EqualityFixFailed):
-            tsg_fix_equalities(x, pe0, np.random.default_rng(0), inst)
+            TsgFixer(inst).fix_equalities(x, pe0, np.random.default_rng(0))
 
     def test_smaller_categories_filled_first(self):
         # slack 2 and demand 3: ascending order serves the one-passenger
@@ -198,6 +196,24 @@ class TestDetectionRatio:
         zero = np.zeros((3, 3))
         res = tsg_detection_ratio(zero, zero, game)
         assert res.min_ratio == 1.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stack_matches_per_sample_loop(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        game = random_raw_game(rng)  # its last target has no cells
+        before = rng.random((game.k, game.n)) * 2
+        before[0, 0] = 0.0
+        stack = rng.integers(0, 3, size=(5, game.k, game.n))
+        res = tsg_detection_ratio(before, stack, game)
+        worst = 1.0
+        for t in game.targets:
+            b = sum(w * before[c] for c, w in t.weights.items())
+            ratios = [1.0 if b < 1e-12 else sum(w * s[c] for c, w in t.weights.items()) / b
+                      for s in stack]
+            assert res.per_category[t.id] == pytest.approx(min(ratios), abs=1e-12)
+            worst = min(worst, *ratios)
+        assert res.per_category["empty"] == 1.0
+        assert res.min_ratio == pytest.approx(worst, abs=1e-12)
 
     def test_instrumented_pipeline_run(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
