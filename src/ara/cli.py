@@ -1,8 +1,7 @@
 """Command-line front end: generate instances, solve them, run benchmark
 sweeps, and check marginal implementability.
 
-Exit codes: 0 success, 2 parse/usage error, 3 solver error.  ``ARA_THREADS``
-caps benchmark parallelism (default 1).
+Exit codes: 0 success, 2 parse/usage error, 3 solver error.
 """
 
 from __future__ import annotations
@@ -10,16 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ara.core import GameError, check_implementability, game_value
+from ara.core import GameError, check_implementability
 from ara.exact import enumerate_pure, exact_maximin
-from ara.fams import FamsFixer, FamsInstance, SolveTimeout, encode_fams, fams_column_generation
+from ara.fams import FamsFixer, SolveTimeout, encode_fams, fams_column_generation
 from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.jsonio import (
     ParseError,
@@ -32,7 +29,7 @@ from ara.lp import LpError
 from ara.marginal import solve_marginal
 from ara.reports import SolveReport
 from ara.sampling import SamplingFailure, estimate_mixed, to_pe0
-from ara.tsg import TsgFixer, TsgInstance, encode_tsg, tsg_detection_ratio
+from ara.tsg import TsgFixer, encode_tsg, tsg_detection_ratio
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -165,15 +162,8 @@ def _cmd_bench(args) -> int:
     seed_base = int(cfg.get("seed", 0))
     base = cfg.get("base", {})
 
-    tasks = [(size, rep, method) for size in sizes for rep in range(reps) for method in methods]
-    workers = max(1, int(os.environ.get("ARA_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _bench_row(family, t[0], t[1], t[2], base,
-                                                      samples, cutoff_s, seed_base), tasks))
-    else:
-        rows = [_bench_row(family, size, rep, method, base, samples, cutoff_s, seed_base)
-                for size, rep, method in tasks]
+    rows = [_bench_row(family, size, rep, method, base, samples, cutoff_s, seed_base)
+            for size in sizes for rep in range(reps) for method in methods]
 
     by_key = {(r["size"], r["seed"], r["method"]): r for r in rows}
     reference = {m for m in methods if m in ("exact", "cg")}

@@ -191,6 +191,13 @@ class CompiledGame:
         self.target_type = np.array([type_of[t.id] for t in targets], dtype=np.int64)
         self.num_types = len(game.adversary_types)
 
+    @cached_property
+    def target_columns(self) -> np.ndarray:
+        """T x n incidence: 1 where a target weights some cell of the column."""
+        out = np.zeros((len(self.target_index), self.shape[1]), dtype=np.int64)
+        out[self.tgt_seg, self.tgt_cell % self.shape[1]] = 1
+        return out
+
     def position(self, target_id: str) -> int:
         if target_id not in self.target_index:
             raise GameError(f"unknown target {target_id!r}")
@@ -299,10 +306,8 @@ class MixedStrategyEstimate:
     mean: np.ndarray
 
     def __post_init__(self):
-        if not self.samples:
-            raise GameError("estimate needs at least one sample")
         mean = np.array(self.mean, dtype=float)
-        avg = np.mean([s.values for s in self.samples], axis=0)
+        avg = _sample_mean(self.samples)
         if np.max(np.abs(mean - avg)) > 1e-12:
             raise GameError("mean does not match the sample average")
         mean.setflags(write=False)
@@ -312,7 +317,15 @@ class MixedStrategyEstimate:
     @classmethod
     def from_samples(cls, samples) -> "MixedStrategyEstimate":
         samples = tuple(samples)
-        return cls(samples, np.mean([s.values for s in samples], axis=0))
+        return cls(samples, _sample_mean(samples))
+
+
+def _sample_mean(samples) -> np.ndarray:
+    """Cell-wise mean without stacking the samples; the integer sums are
+    exact, so this equals the mean of the stacked samples bit for bit."""
+    if not samples:
+        raise GameError("estimate needs at least one sample")
+    return sum(s.values for s in samples) / len(samples)
 
 
 def _values(x) -> np.ndarray:

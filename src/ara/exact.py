@@ -111,13 +111,43 @@ class MaximinSolution:
         return [(float(w), s) for w, s in zip(self.weights, self.strategies) if w > tol]
 
 
-def exact_maximin(game: AraGame, strategies) -> MaximinSolution:
-    """Solve the maximin LP over an exhaustive pure-strategy list.
+def maximin_lp(game: AraGame, covs: np.ndarray) -> LinearProgram:
+    """The maximin LP over m pure strategies, given their per-target
+    coverages ``covs`` (m x T, as from ``game.compiled.coverages``).
 
     max sum_theta p_theta z_theta subject to
-    z_theta <= sum_m a_m U_d(P_m, t) for every type and target,
-    sum_m a_m = 1, a >= 0.
+    z_theta <= sum_m a_m U_d(P_m, t) for every active type and its targets,
+    sum_m a_m = 1, a >= 0, z_theta >= the type's worst undefended payoff.
+
+    Active types have positive probability and some target.  Variables are
+    a_0..a_{m-1}, then one z per active type.  Rows are each active type's
+    targets in game order, then the ``mix`` row; column generation reads
+    its duals in this order.
     """
+    compiled = game.compiled
+    m = len(covs)
+    pu = compiled.payoff_undefended
+    util = pu + covs * (compiled.payoff_defended - pu)
+    active = [(idx, a) for idx, a in enumerate(game.adversary_types)
+              if a.probability > 0.0 and a.targets]
+    prog = LinearProgram(m + len(active))
+    for z, (idx, a) in enumerate(active, start=m):
+        tids = np.flatnonzero(compiled.target_type == idx)
+        prog.objective[z] = a.probability
+        prog.set_bounds(z, lower=pu[tids].min())
+        for t in tids:
+            coeffs = {z: 1.0}
+            coeffs.update((i, -u) for i, u in enumerate(util[:, t]) if u != 0.0)
+            prog.add_row(coeffs, "<=", 0.0, label=f"type {a.id} target {game.targets[t].id}")
+    prog.add_row(dict.fromkeys(range(m), 1.0), "=", 1.0, label="mix")
+    return prog
+
+
+def exact_maximin(game: AraGame, strategies) -> MaximinSolution:
+    """Solve the maximin LP (``maximin_lp``) over an exhaustive
+    pure-strategy list.  Its rows are the active types' targets in game
+    order, then the ``mix`` row: the master LP of column generation, so
+    both solve the same program over the same strategies."""
     if isinstance(strategies, EnumeratedStrategySet):
         if strategies.truncated:
             raise GameError("refusing to certify with a truncated enumeration")
@@ -126,32 +156,10 @@ def exact_maximin(game: AraGame, strategies) -> MaximinSolution:
     if not strategies:
         raise GameError("no pure strategies to mix")
 
-    active = [a for a in game.adversary_types if a.probability > 0.0 and a.targets]
-    m = len(strategies)
-    prog = LinearProgram(m + len(active))
-    prog.add_row({i: 1.0 for i in range(m)}, "=", 1.0, label="mix")
-
-    stack = np.stack([s.values for s in strategies]).astype(float)
-    for ti, a in enumerate(active):
-        z = m + ti
-        prog.objective[z] = a.probability
-        floor = min(game.target(t).payoff_undefended for t in a.targets)
-        prog.set_bounds(z, lower=floor)
-        for tid in sorted(a.targets):
-            t = game.target(tid)
-            cov = np.zeros(m)
-            for cell, w in t.weights.items():
-                cov += w * stack[:, cell[0], cell[1]]
-            util = t.payoff_undefended + cov * (t.payoff_defended - t.payoff_undefended)
-            coeffs = {z: 1.0}
-            for i in range(m):
-                if util[i] != 0.0:
-                    coeffs[i] = -util[i]
-            prog.add_row(coeffs, "<=", 0.0, label=f"type {a.id} target {tid}")
-
-    sol = solve_lp(prog)
+    covs = game.compiled.coverages(np.stack([s.values for s in strategies]))
+    sol = solve_lp(maximin_lp(game, covs))
     if sol.status != "optimal":
         raise GameError(f"maximin LP ended {sol.status}")
-    weights = np.maximum(sol.values[:m], 0.0)
+    weights = np.maximum(sol.values[:len(strategies)], 0.0)
     weights /= weights.sum()
     return MaximinSolution(float(sol.objective_value), weights, strategies)

@@ -8,12 +8,13 @@ solver used as the exact baseline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ara.core import AdversaryType, AraGame, AssignmentConstraint, GameError, PureStrategy, Target
-from ara.lp import LinearProgram, solve_lp
+from ara.core import AraGame, AssignmentConstraint, GameError, PureStrategy, Target
+from ara.exact import maximin_lp
+from ara.lp import solve_lp
 from ara.sampling import Pe0Form
 
 DEFAULT_NODE_CAP = 10 ** 7
@@ -108,51 +109,35 @@ class FamsFixer:
     flights without touching any satisfied one; when a violated flight has
     no such schedule, drop one of its allocated schedules uniformly at
     random.  Freed marshals land on the slack column, so equalities are
-    restored without ever decreasing a cell."""
-
-    def __init__(self):
-        self._ctx = None  # (pe0, incidence, col_flights, flight_cols, ids)
-
-    def _context(self, pe0: Pe0Form):
-        if self._ctx is None or self._ctx[0] is not pe0:
-            game = pe0.source_game
-            n = pe0.source_cols
-            ids = [t.id for t in game.targets]
-            flight_cols = [sorted({j for _, j in t.cells}) for t in game.targets]
-            incidence = np.zeros((len(ids), n))
-            col_flights: list[list[int]] = [[] for _ in range(n)]
-            for fi, cols in enumerate(flight_cols):
-                for j in cols:
-                    incidence[fi, j] = 1.0
-                    col_flights[j].append(fi)
-            self._ctx = (pe0, incidence, col_flights, flight_cols, ids)
-        return self._ctx[1:]
+    restored without ever decreasing a cell.  Equal schedules go to the
+    lowest column; the random drop serves the most covered flight, ties to
+    the lowest flight id."""
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        incidence, col_flights, flight_cols, ids = self._context(pe0)
+        game = pe0.source_game
+        incidence = game.compiled.target_columns  # flights x schedules
         x = x.copy()
         n = pe0.source_cols
         while True:
+            # only allocated schedules (at most one per marshal) count
             col_tot = x[:, :n].sum(axis=0)
-            cov = np.rint(incidence @ col_tot).astype(np.int64)
+            cols = col_tot.nonzero()[0]
+            hits = incidence[:, cols]
+            cov = hits @ col_tot[cols]
             violated = cov > 1
             if not violated.any():
                 return x
-            best_col, best_count = -1, 0
-            for j in np.nonzero(col_tot > 0)[0]:
-                hit = col_flights[j]
-                if any(cov[fi] == 1 for fi in hit):
-                    continue
-                n_violated = sum(1 for fi in hit if cov[fi] > 1)
-                if n_violated > best_count:
-                    best_col, best_count = int(j), n_violated
-            if best_col < 0:
-                worst = min(np.nonzero(violated)[0], key=lambda fi: (-cov[fi], ids[fi]))
-                options = [j for j in flight_cols[worst] if col_tot[j] > 0]
+            score = np.where((cov == 1) @ hits > 0, 0, violated @ hits)
+            if score.max() > 0:
+                best_col = cols[score.argmax()]
+            else:
+                top = (cov == cov.max()).nonzero()[0]
+                worst = min(top, key=lambda fi: game.targets[fi].id)
+                options = cols[hits[worst] > 0]
                 best_col = options[rng.integers(len(options))]
             # one marshal comes off the chosen schedule per step; repeated
             # steps re-rank, so repair stops as soon as targets hit coverage 1
-            row = int(np.nonzero(x[:, best_col] > 0)[0][0])
+            row = (x[:, best_col] > 0).argmax()
             x[row, best_col] -= 1
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
@@ -171,14 +156,14 @@ class FamsFixer:
 
 
 def fams_dbr(inst: FamsInstance, d: np.ndarray, node_cap: int = DEFAULT_NODE_CAP,
-             flight_weights: dict[str, float] | None = None) -> PureStrategy:
+             total_mass: float = np.inf) -> PureStrategy:
     """Exact defender best response: maximize the d-weighted allocation over
     pure strategies by depth-first search over marshal assignments.
 
     When every marshal has the same weight row and nothing is forbidden the
     problem is a max-weight packing of flight-disjoint schedules, searched
-    over schedules directly.  ``flight_weights`` (per-flight masses with
-    d[i,j] equal to the sum over the schedule's flights, as in column
+    over schedules directly.  ``total_mass`` (the summed per-flight masses
+    when d[i,j] is the sum over the schedule's flights, as in column
     generation) tightens the bound: no packing can beat the uncovered mass.
     """
     k, n = inst.num_marshals, len(inst.schedules)
@@ -194,7 +179,7 @@ def fams_dbr(inst: FamsInstance, d: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
         banned[m].add(col[sid])
 
     if not inst.forbidden and np.all(d == d[0]):
-        return _dbr_disjoint_packing(inst, d, sched_flights, node_cap, flight_weights)
+        return _dbr_disjoint_packing(inst, d, sched_flights, node_cap, total_mass)
 
     # marshals with the same allowed set and weight row are interchangeable;
     # sorting makes each group contiguous so canonical ordering applies
@@ -254,7 +239,7 @@ def fams_dbr(inst: FamsInstance, d: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
 
 
 def _dbr_disjoint_packing(inst: FamsInstance, d: np.ndarray, sched_flights,
-                          node_cap: int, flight_weights) -> PureStrategy:
+                          node_cap: int, total_mass: float) -> PureStrategy:
     """Branch and bound over weight-sorted schedules for interchangeable
     marshals: each node extends the packing with a later schedule."""
     k = inst.num_marshals
@@ -264,8 +249,6 @@ def _dbr_disjoint_packing(inst: FamsInstance, d: np.ndarray, sched_flights,
     weights = np.array([w_row[j] for j in order])
     flights = [sched_flights[j] for j in order]
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
-    total_mass = (sum(flight_weights.get(f.id, 0.0) for f in inst.flights)
-                  if flight_weights is not None else np.inf)
     tie_eps = 1e-12 * max(1.0, prefix[-1])
 
     best_value = 0.0
@@ -327,55 +310,36 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
     """
     game = encode_fams(inst)
     start = time.monotonic()
-    flights = list(inst.flights)
-    fcols = {f.id: [j for j, s in enumerate(inst.schedules) if f.id in s.flights]
-             for f in flights}
-    delta = {f.id: f.u_def - f.u_undef for f in flights}
+    compiled = game.compiled  # targets are the flights, in flight order
+    u_undef = compiled.payoff_undefended
+    delta = compiled.payoff_defended - u_undef
+    flight_of, col_of = np.nonzero(compiled.target_columns)  # flight-major
 
     empty = PureStrategy(np.zeros((inst.num_marshals, len(inst.schedules)), dtype=np.int64))
     columns = [empty]
-    covs = [game.compiled.coverages(empty)]  # per flight, in flight order
-    floor = min(f.u_undef for f in flights) if flights else 0.0
+    covs = [compiled.coverages(empty)]
 
     for it in range(1, max_iters + 1):
         if cutoff_s is not None and time.monotonic() - start > cutoff_s:
             raise SolveTimeout(cutoff_s)
-        m = len(columns)
-        prog = LinearProgram(m + 1)
-        prog.objective[m] = 1.0
-        prog.set_bounds(m, lower=floor)
-        for fi, f in enumerate(flights):
-            coeffs = {m: 1.0}
-            for ci in range(m):
-                util = f.u_undef + covs[ci][fi] * delta[f.id]
-                if util != 0.0:
-                    coeffs[ci] = -util
-            prog.add_row(coeffs, "<=", 0.0, label=f"flight {f.id}")
-        prog.add_row({ci: 1.0 for ci in range(m)}, "=", 1.0, label="mix")
-        sol = solve_lp(prog)
+        sol = solve_lp(maximin_lp(game, np.array(covs)))
         if sol.status != "optimal":
             raise GameError(f"column-generation master ended {sol.status}")
-        y = np.maximum(sol.duals[:len(flights)], 0.0)
+        y = np.maximum(sol.duals[:len(delta)], 0.0)
         y[y < 1e-10] = 0.0  # dual dust otherwise litters the slave with tie weights
-        mu = sol.duals[len(flights)]
+        mu = sol.duals[len(delta)]
 
-        d = np.zeros((inst.num_marshals, len(inst.schedules)))
-        masses = {}
-        for fi, f in enumerate(flights):
-            if y[fi] > 0:
-                d[:, fcols[f.id]] += y[fi] * delta[f.id]
-                masses[f.id] = y[fi] * delta[f.id]
-        column = fams_dbr(inst, d, node_cap=node_cap, flight_weights=masses)
-        cov = game.compiled.coverages(column)
-        slave_value = float(sum(y[fi] * (f.u_undef + cov[fi] * delta[f.id])
-                                for fi, f in enumerate(flights)))
-        if slave_value <= mu + tolerance:
-            weights = np.maximum(sol.values[:m], 0.0)
-            weights /= weights.sum()
-            return CgResult(float(sol.objective_value), weights, tuple(columns), it)
-        if any(np.array_equal(cov, c) for c in covs):
-            # the priced column is already present: numerically converged
-            weights = np.maximum(sol.values[:m], 0.0)
+        # a schedule is priced at the summed mass of its flights; every sum
+        # here runs in flight order
+        masses = y * delta
+        col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=len(inst.schedules))
+        d = np.tile(col_mass, (inst.num_marshals, 1))
+        column = fams_dbr(inst, d, node_cap=node_cap, total_mass=sum(masses.tolist()))
+        cov = compiled.coverages(column)
+        slave_value = sum((y * (u_undef + cov * delta)).tolist())
+        # a priced column already present means numerical convergence
+        if slave_value <= mu + tolerance or any(np.array_equal(cov, c) for c in covs):
+            weights = np.maximum(sol.values[:len(columns)], 0.0)
             weights /= weights.sum()
             return CgResult(float(sol.objective_value), weights, tuple(columns), it)
         columns.append(column)

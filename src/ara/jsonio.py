@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ara.core import AdversaryType, AraGame, AssignmentConstraint, GameError, Target
+from ara.core import AdversaryType, AraGame, AssignmentConstraint, Target
 from ara.fams import FamsInstance, FlightSpec, Schedule
 from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance
 

@@ -66,6 +66,31 @@ def _pe0_for(inst):
     return game, to_pe0(game)
 
 
+def loop_fix_inequalities(x, pe0, rng):
+    """Column-by-column reference for FamsFixer.fix_inequalities."""
+    game, n = pe0.source_game, pe0.source_cols
+    ids = [t.id for t in game.targets]
+    flight_cols = [sorted({j for _, j in t.cells}) for t in game.targets]
+    x = x.copy()
+    while True:
+        col_tot = x[:, :n].sum(axis=0)
+        cov = [sum(col_tot[j] for j in cols) for cols in flight_cols]
+        violated = [fi for fi, c in enumerate(cov) if c > 1]
+        if not violated:
+            return x
+        best_col, best_count = -1, 0
+        for j in np.flatnonzero(col_tot):
+            hit = [fi for fi, cols in enumerate(flight_cols) if j in cols]
+            n_violated = sum(1 for fi in hit if cov[fi] > 1)
+            if all(cov[fi] != 1 for fi in hit) and n_violated > best_count:
+                best_col, best_count = j, n_violated
+        if best_col < 0:
+            worst = min(violated, key=lambda fi: (-cov[fi], ids[fi]))
+            options = [j for j in flight_cols[worst] if col_tot[j] > 0]
+            best_col = options[rng.integers(len(options))]
+        x[np.flatnonzero(x[:, best_col])[0], best_col] -= 1
+
+
 class TestFixer:
     def test_no_violation_is_identity(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)
@@ -112,6 +137,65 @@ class TestFixer:
                               if False else out[:, :3])
         for f in ("f0", "f1", "f2"):
             assert coverage(game, out[:, :3], f) <= 1.0
+
+    def test_random_drop_when_no_schedule_is_clean(self):
+        # s0 and s1 both fly the violated f0, and each also flies a flight
+        # (f1, f2) at coverage 1, so the fixer must drop one of them at random
+        inst = FamsInstance(
+            2,
+            (Schedule("s0", frozenset({"f0", "f1"})), Schedule("s1", frozenset({"f0", "f2"}))),
+            (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0),
+             FlightSpec("f2", -1.0, -4.0)))
+        game, pe0 = _pe0_for(inst)
+        x = np.zeros((2, 3), dtype=np.int64)
+        x[0, 0] = 1
+        x[1, 1] = 1
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        out = FamsFixer().fix_inequalities(x, pe0, rng)
+        dropped = int(twin.integers(2))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert out[:, :2].sum(axis=0).tolist() == [int(dropped != 0), int(dropped != 1)]
+        assert coverage(game, out[:, :2], "f0") == 1.0
+
+    def test_random_drops_go_to_the_lowest_flight_id_first(self):
+        # "fb" (on s0, s1) and "fa" (on s2, s3, s4) are over-covered and every
+        # schedule also flies a flight at coverage 1, so each drop is random.
+        # After the first drop both sit at coverage 2, and "fa" sorts first
+        # although listed second
+        groups = {"fb": (0, 1), "fa": (2, 3, 4)}
+        inst = FamsInstance(
+            5,
+            tuple(Schedule(f"s{j}", frozenset({f, f"x{j}"}))
+                  for f, cols in groups.items() for j in cols),
+            tuple(FlightSpec(f, -1.0, -4.0) for f in (*groups, *(f"x{j}" for j in range(5)))))
+        _, pe0 = _pe0_for(inst)
+        x = np.zeros((5, 6), dtype=np.int64)
+        x[np.arange(5), np.arange(5)] = 1
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        out = FamsFixer().fix_inequalities(x, pe0, rng)
+        expected = x.copy()
+        for f in ("fa", "fa", "fb"):
+            live = [j for j in groups[f] if expected[j, j]]
+            j = live[twin.integers(len(live))]
+            expected[j, j] = 0
+        assert np.array_equal(out, expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        inst = random_toy_fams(rng)
+        game, pe0 = _pe0_for(inst)
+        n = len(inst.schedules)
+        for _ in range(10):
+            x = np.zeros((inst.num_marshals, n + 1), dtype=np.int64)
+            x[np.arange(inst.num_marshals), rng.integers(0, n + 1, size=inst.num_marshals)] = 1
+            state = rng.bit_generator.state
+            out = FamsFixer().fix_inequalities(x, pe0, rng)
+            twin = np.random.default_rng()
+            twin.bit_generator.state = state
+            assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_slack_absorbs_freed_marshals(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)
@@ -212,6 +296,14 @@ class TestColumnGeneration:
         ms = solve_marginal(game)
         assert cg.value == pytest.approx(exact.value, abs=1e-5)
         assert cg.value <= ms.upper_bound + 1e-6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_master_is_the_exact_maximin_lp(self, seed):
+        inst = random_toy_fams(np.random.default_rng(500 + seed))
+        cg = fams_column_generation(inst, tolerance=1e-8)
+        exact = exact_maximin(encode_fams(inst), cg.strategies)
+        assert exact.value == cg.value
+        assert np.array_equal(exact.weights, cg.weights)
 
     def test_mixed_strategy_is_consistent(self, fig1b_fams):
         cg = fams_column_generation(fig1b_fams, tolerance=1e-8)
