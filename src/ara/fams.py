@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ara.core import AraGame, AssignmentConstraint, GameError, PureStrategy, Target
-from ara.exact import maximin_lp
+from ara.exact import exact_maximin, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
 
@@ -303,10 +303,20 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
                            cutoff_s: float | None = None) -> CgResult:
     """Exact zero-sum value by column generation.
 
-    The restricted master is the maximin LP over generated pure strategies
-    plus an always-feasible empty allocation; the slave prices columns by
-    the master's flight duals through the exact best-response search and
-    the loop stops once no column improves by more than ``tolerance``.
+    The restricted master is the maximin LP (``maximin_lp``) over generated
+    pure strategies plus an always-feasible empty allocation; the slave
+    prices columns by the master's flight duals through the exact
+    best-response search, and the loop stops once no column improves by
+    more than ``tolerance``.
+
+    The master is built once.  Each priced column is appended to it with
+    ``LinearProgram.add_column`` and the master is re-solved warm, by
+    phase 2 from the last basis (see ``ara.lp``).  Where the master has tied
+    optima, a warm solve may pick another optimal vertex than a cold one,
+    and with it other duals, columns and iteration counts; the value is
+    the same.  The value and weights returned are those of one cold
+    ``exact_maximin`` over the generated columns, which must agree with the
+    last warm value to 1e-9.
     """
     game = encode_fams(inst)
     start = time.monotonic()
@@ -314,20 +324,25 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
     flight_of, col_of = np.nonzero(compiled.target_columns)  # flight-major
+    mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
     empty = PureStrategy(np.zeros((inst.num_marshals, len(inst.schedules)), dtype=np.int64))
     columns = [empty]
-    covs = [compiled.coverages(empty)]
+    cov = compiled.coverages(empty)
+    seen = {cov.tobytes()}
+    master = maximin_lp(game, cov[None])
+    state = None
 
     for it in range(1, max_iters + 1):
         if cutoff_s is not None and time.monotonic() - start > cutoff_s:
             raise SolveTimeout(cutoff_s)
-        sol = solve_lp(maximin_lp(game, np.array(covs)))
+        sol = solve_lp(master, warm=state)
         if sol.status != "optimal":
             raise GameError(f"column-generation master ended {sol.status}")
-        y = np.maximum(sol.duals[:len(delta)], 0.0)
+        state = sol.state
+        y = np.maximum(sol.duals[:mix_row], 0.0)
         y[y < 1e-10] = 0.0  # dual dust otherwise litters the slave with tie weights
-        mu = sol.duals[len(delta)]
+        mu = sol.duals[mix_row]
 
         # a schedule is priced at the summed mass of its flights; every sum
         # here runs in flight order
@@ -336,12 +351,18 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
         d = np.tile(col_mass, (inst.num_marshals, 1))
         column = fams_dbr(inst, d, node_cap=node_cap, total_mass=sum(masses.tolist()))
         cov = compiled.coverages(column)
-        slave_value = sum((y * (u_undef + cov * delta)).tolist())
+        util = u_undef + cov * delta
+        slave_value = sum((y * util).tolist())
         # a priced column already present means numerical convergence
-        if slave_value <= mu + tolerance or any(np.array_equal(cov, c) for c in covs):
-            weights = np.maximum(sol.values[:len(columns)], 0.0)
-            weights /= weights.sum()
-            return CgResult(float(sol.objective_value), weights, tuple(columns), it)
+        if slave_value <= mu + tolerance or cov.tobytes() in seen:
+            final = exact_maximin(game, columns)
+            if abs(final.value - sol.objective_value) > 1e-9:
+                raise GameError(f"column-generation master value {sol.objective_value} "
+                                f"disagrees with the cold solve {final.value}")
+            return CgResult(final.value, final.weights, tuple(columns), it)
         columns.append(column)
-        covs.append(cov)
+        seen.add(cov.tobytes())
+        coeffs = {t: -u for t, u in enumerate(util.tolist()) if u != 0.0}
+        coeffs[mix_row] = 1.0
+        master.add_column(coeffs, 0.0)
     raise GameError(f"column generation did not converge in {max_iters} iterations")

@@ -137,46 +137,45 @@ def _over_columns(game: AraGame):
     into one, then the others) when the rows of the game are
     interchangeable, else None."""
     k, n = game.k, game.n
-    budgets: dict[int, AssignmentConstraint] = {}
-    others = []
-    for con in game.constraints:
-        rows = {i for i, _ in con.cells}
-        if len(rows) == 1:
-            i = rows.pop()
-            if i in budgets:
-                return None
-            budgets[i] = con
-        elif _same_in_every_row(k, ((c, con.coeff(c)) for c in con.cells)):
-            others.append(con)
-        else:
-            return None
-    if len(budgets) != k:
+    c = game.compiled
+    ncons = len(game.constraints)
+    size = np.bincount(c.con_seg, minlength=ncons)
+    row = c.con_cell // n
+    first_row = row[np.cumsum(size) - size]  # every constraint has a cell
+    single = np.bincount(c.con_seg, weights=row != first_row[c.con_seg], minlength=ncons) == 0
+    # exactly one single-row constraint (the budget) in every row; every
+    # other constraint, and every target, the same in all k rows
+    if not np.all(np.bincount(first_row[single], minlength=k) == 1):
         return None
-    first, last = budgets[0], budgets[k - 1]
+    if not _same_in_every_row(k, n, c.con_cell, c.con_coeff, c.con_seg, ncons)[~single].all():
+        return None
+    if not _same_in_every_row(k, n, c.tgt_cell, c.tgt_weight, c.tgt_seg, len(game.targets)).all():
+        return None
+    budget = np.flatnonzero(single)[np.argsort(first_row[single])]  # in row order
+    first, last = game.constraints[budget[0]], game.constraints[budget[-1]]
     if first.lower != 0 and not first.is_equality:
         return None
-    for con in budgets.values():
-        if ((con.lower, con.upper) != (first.lower, first.upper) or len(con.cells) != n
-                or any(con.coeff(c) != 1 for c in con.cells)):
-            return None
-    if not all(_same_in_every_row(k, t.weights.items()) for t in game.targets):
+    not_unit = np.bincount(c.con_seg, weights=c.con_coeff != 1, minlength=ncons)
+    if (np.any(c.lower[budget] != first.lower) or np.any(c.upper[budget] != first.upper)
+            or np.any(size[budget] != n) or np.any(not_unit[budget] > 0)):
         return None
+    others = [con for con, one in zip(game.constraints, single) if not one]
     summed = AssignmentConstraint(frozenset((i, j) for i in range(k) for j in range(n)),
                                   k * first.lower, k * first.upper,
                                   label=f"{first.name()} .. {last.name()} summed")
     return (summed, *others)
 
 
-def _same_in_every_row(k: int, entries) -> bool:
-    """Whether the (cell, value) entries give each column they touch the same
-    value in all k rows."""
-    per_col: dict[int, tuple[float, int]] = {}
-    for (_, j), v in entries:
-        seen, count = per_col.get(j, (v, 0))
-        if seen != v:
-            return False
-        per_col[j] = (v, count + 1)
-    return all(count == k for _, count in per_col.values())
+def _same_in_every_row(k: int, n: int, cell, value, seg, segments: int) -> np.ndarray:
+    """Per segment of the (cell, value, segment) entries: whether every
+    column it touches holds the same value in all k rows.  Cells are
+    distinct within a segment, so a column is full when it has k entries."""
+    groups, first, where, count = np.unique(seg * n + cell % n, return_index=True,
+                                            return_inverse=True, return_counts=True)
+    differs = np.bincount(where, weights=value != value[first][where], minlength=len(groups))
+    out = np.ones(segments, dtype=bool)
+    out[groups[(count != k) | (differs > 0)] // n] = False
+    return out
 
 
 def _staircase(y: np.ndarray, k: int, u: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ara import cli
+from ara import cli, lp
 from ara.cli import main, run_method
 from ara.core import AraGame, AssignmentConstraint, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
@@ -118,6 +118,11 @@ class TestSolveCommand:
         assert main(["solve", "--instance", str(tsg_file), "--method", "rand",
                      "--samples", "10"]) == 3
         assert "not integral" in capsys.readouterr().err
+
+    def test_oversized_lp_is_a_solver_error(self, fams_file, monkeypatch, capsys):
+        monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", 64)
+        assert main(["solve", "--instance", str(fams_file), "--method", "marginal-bound"]) == 3
+        assert "GiB limit" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

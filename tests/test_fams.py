@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ara import fams
 from ara.core import GameError, coverage, game_value, is_valid_pure
-from ara.exact import enumerate_pure, exact_maximin
+from ara.exact import MaximinSolution, enumerate_pure, exact_maximin
 from ara.fams import (
     DbrNodeCapError,
     FamsFixer,
@@ -304,6 +305,17 @@ class TestColumnGeneration:
         exact = exact_maximin(encode_fams(inst), cg.strategies)
         assert exact.value == cg.value
         assert np.array_equal(exact.weights, cg.weights)
+
+    def test_warm_master_must_match_the_cold_solve(self, fig1b_fams, monkeypatch):
+        real = fams.exact_maximin
+
+        def shifted(game, strategies):
+            sol = real(game, strategies)
+            return MaximinSolution(sol.value + 1e-8, sol.weights, sol.strategies)
+
+        monkeypatch.setattr(fams, "exact_maximin", shifted)
+        with pytest.raises(GameError, match="disagrees with the cold solve"):
+            fams_column_generation(fig1b_fams, tolerance=1e-8)
 
     def test_mixed_strategy_is_consistent(self, fig1b_fams):
         cg = fams_column_generation(fig1b_fams, tolerance=1e-8)

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ara.lp import LinearProgram, LpError, solve_lp
+from ara import lp as lp_mod
+from ara.lp import FEAS_TOL, LinearProgram, LpError, solve_lp
 
 
 def test_single_variable():
@@ -131,3 +136,186 @@ def test_duals_match_shadow_prices(seed):
         activity = sum(a * sol.values[j] for j, a in row.coeffs.items())
         if sol.duals[i] > 1e-7:
             assert activity == pytest.approx(row.rhs, abs=1e-6)
+
+
+def _random_program(rng, n, m):
+    """Feasible at a random x0 in [0, 1]^n and bounded by the box [0, 3]^n,
+    with a random mix of <=, >= and = rows."""
+    lp = LinearProgram(n, objective=rng.uniform(-1, 2, size=n))
+    x0 = rng.uniform(0, 1, size=n)
+    for i in range(m):
+        a = rng.uniform(-1, 1, size=n)
+        relation = ("<=", ">=", "=")[int(rng.integers(3))]
+        slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * rng.uniform(0.1, 1.0)
+        lp.add_row({j: float(a[j]) for j in range(n)}, relation, float(a @ x0 + slack),
+                   label=f"r{i}")
+    for j in range(n):
+        lp.set_bounds(j, upper=3.0)
+    return lp
+
+
+def _append_random_columns(rng, lp, count):
+    for _ in range(count):
+        coeffs = {i: float(rng.uniform(-1, 1)) for i in range(len(lp.rows))
+                  if rng.random() < 0.8}
+        lp.add_column(coeffs, float(rng.uniform(-1, 2)))
+
+
+def _copy(lp):
+    out = LinearProgram(lp.num_vars, lp.objective.copy(), lower=lp.lower.copy(),
+                        upper=lp.upper.copy())
+    for row in lp.rows:
+        out.add_row(row.coeffs, row.relation, row.rhs, row.label)
+    return out
+
+
+def _assert_dual_certificate(lp, sol, tol=1e-7):
+    """The duals are feasible for the dual program and close the gap:
+    max c.x, rows, 0 <= x <= u has the dual min b.y + u.w with
+    A^T y + w >= c, w >= 0, y >= 0 on <= rows, y <= 0 on >= rows."""
+    y = sol.duals
+    sign = {"<=": 1.0, ">=": -1.0, "=": 0.0}
+    assert all(sign[row.relation] * yi >= -tol for row, yi in zip(lp.rows, y))
+    reduced = lp.objective - _dense(lp).T @ y
+    bounded = np.isfinite(lp.upper)
+    assert np.all(reduced[~bounded] <= tol)
+    w = np.maximum(reduced[bounded], 0.0)
+    dual_obj = sum(row.rhs * yi for row, yi in zip(lp.rows, y)) + lp.upper[bounded] @ w
+    assert dual_obj == pytest.approx(sol.objective_value, rel=1e-9, abs=1e-9)
+
+
+def _dense(lp):
+    A = np.zeros((len(lp.rows), lp.num_vars))
+    for i, row in enumerate(lp.rows):
+        for j, a in row.coeffs.items():
+            A[i, j] = a
+    return A
+
+
+def _highs(lp):
+    from scipy.optimize import linprog
+    A = _dense(lp)
+    rel = np.array([row.relation for row in lp.rows])
+    rhs = np.array([row.rhs for row in lp.rows])
+    ub = np.concatenate([A[rel == "<="], -A[rel == ">="]])
+    res = linprog(-lp.objective, A_ub=ub if len(ub) else None,
+                  b_ub=np.concatenate([rhs[rel == "<="], -rhs[rel == ">="]]) if len(ub) else None,
+                  A_eq=A[rel == "="] if np.any(rel == "=") else None,
+                  b_eq=rhs[rel == "="] if np.any(rel == "=") else None,
+                  bounds=list(zip(lp.lower, lp.upper)), method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if status == "optimal" else None)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 5),
+       added=st.integers(1, 5))
+def test_warm_start_agrees_with_cold_solve_and_highs(seed, n, m, added):
+    rng = np.random.default_rng(seed)
+    lp = _random_program(rng, n, m)
+    base = solve_lp(lp)
+    assert base.status == "optimal"
+    _append_random_columns(rng, lp, added)
+    warm = solve_lp(lp, warm=base.state)
+    cold = solve_lp(_copy(lp))
+    status, objective = _highs(lp)
+    assert warm.status == cold.status == status
+    if status == "optimal":
+        assert warm.objective_value == pytest.approx(objective, rel=1e-9, abs=1e-9)
+        assert cold.objective_value == pytest.approx(objective, rel=1e-9, abs=1e-9)
+        _assert_dual_certificate(lp, warm)
+        _assert_dual_certificate(lp, cold)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_warm_resolve_pivots_less_than_cold(seed):
+    rng = np.random.default_rng(300 + seed)
+    lp = _random_program(rng, 12, 10)
+    base = solve_lp(lp)
+    _append_random_columns(rng, lp, 1)
+    warm = solve_lp(lp, warm=base.state)
+    cold = solve_lp(_copy(lp))
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+    assert 0 <= warm.pivots < cold.pivots
+
+
+def test_warm_resolve_of_unchanged_program_makes_no_pivot():
+    lp = _random_program(np.random.default_rng(4), 5, 4)
+    first = solve_lp(lp)
+    again = solve_lp(lp, warm=first.state)
+    assert again.pivots == 0
+    assert np.array_equal(again.values, first.values)
+    assert np.array_equal(again.duals, first.duals)
+
+
+def test_warm_start_keeps_working_over_many_columns():
+    rng = np.random.default_rng(9)
+    lp = _random_program(rng, 4, 6)
+    sol = solve_lp(lp)
+    for _ in range(20):
+        _append_random_columns(rng, lp, 1)
+        sol = solve_lp(lp, warm=sol.state)
+        if sol.status != "optimal":
+            break
+        assert sol.objective_value == pytest.approx(solve_lp(_copy(lp)).objective_value,
+                                                    abs=1e-9)
+
+
+def test_warm_start_refuses_added_rows():
+    lp = _random_program(np.random.default_rng(1), 3, 2)
+    state = solve_lp(lp).state
+    lp.add_row({0: 1.0}, "<=", 1.0)
+    with pytest.raises(LpError, match="rows were added"):
+        solve_lp(lp, warm=state)
+
+
+def test_warm_start_refuses_another_program():
+    state = solve_lp(_random_program(np.random.default_rng(1), 3, 2)).state
+    with pytest.raises(LpError, match="another program"):
+        solve_lp(_random_program(np.random.default_rng(1), 3, 2), warm=state)
+
+
+def test_warm_start_refuses_bounded_new_variable():
+    lp = _random_program(np.random.default_rng(1), 3, 2)
+    state = solve_lp(lp).state
+    j = lp.add_column({0: 1.0}, 1.0)
+    lp.set_bounds(j, upper=2.0)
+    with pytest.raises(LpError, match=r"\[0, inf\)"):
+        solve_lp(lp, warm=state)
+
+
+def test_add_column_on_unknown_row():
+    lp = LinearProgram(1)
+    lp.add_row({0: 1.0}, "<=", 1.0)
+    with pytest.raises(LpError, match="unknown row 1"):
+        lp.add_column({1: 1.0}, 0.0)
+
+
+def test_perturbed_solution_fails_the_primal_check():
+    lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
+    lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0, label="cap")
+    lp.add_row({0: 1.0, 1: -1.0}, "=", 0.0, label="tie")
+    sol = solve_lp(lp)
+    entries = sol.state.entries
+    lp_mod._verify_primal(lp, entries, sol.values, FEAS_TOL)
+    with pytest.raises(LpError, match="violates cap"):
+        lp_mod._verify_primal(lp, entries, sol.values * 1.001, FEAS_TOL)
+    with pytest.raises(LpError, match="violates tie"):
+        lp_mod._verify_primal(lp, entries, sol.values - [1e-3, 0.0], FEAS_TOL)
+    with pytest.raises(LpError, match="variable bounds"):
+        lp_mod._verify_primal(lp, entries, np.array([-1.0, -1.0]), FEAS_TOL)
+
+
+def test_oversized_tableau_is_refused_before_allocating():
+    n = 12_000
+    lp = LinearProgram(n, objective=np.ones(n))
+    for j in range(n):
+        lp.add_row({j: 1.0}, "<=", 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LpError, match="GiB limit"):
+            solve_lp(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20

@@ -9,7 +9,7 @@ from ara.generators import GenConfig, gen_fams
 from ara.marginal import GameInfeasibleError, solve_marginal
 from ara.sampling import to_pe0
 from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance, encode_tsg
-from conftest import random_toy_fams, random_toy_tsg
+from conftest import random_raw_game, random_toy_fams, random_toy_tsg
 
 
 def test_single_saturating_target():
@@ -233,3 +233,125 @@ def test_rows_that_differ_keep_full_lp(mutate, fig1b_fams, lp_solutions):
     changed = mutate(game)
     solve_marginal(changed)
     assert [prog.num_vars for prog, _ in lp_solutions] == [game.n + 1, game.k * game.n + 1]
+
+
+def _over_columns_loop(game: AraGame):
+    """Reference for ``marginal._over_columns``: the same decisions made by
+    per-cell loops over the game's constraints and targets."""
+    k, n = game.k, game.n
+    budgets: dict[int, AssignmentConstraint] = {}
+    others = []
+    for con in game.constraints:
+        rows = {i for i, _ in con.cells}
+        if len(rows) == 1:
+            i = rows.pop()
+            if i in budgets:
+                return None
+            budgets[i] = con
+        elif _same_in_every_row_loop(k, ((c, con.coeff(c)) for c in con.cells)):
+            others.append(con)
+        else:
+            return None
+    if len(budgets) != k:
+        return None
+    first, last = budgets[0], budgets[k - 1]
+    if first.lower != 0 and not first.is_equality:
+        return None
+    for con in budgets.values():
+        if ((con.lower, con.upper) != (first.lower, first.upper) or len(con.cells) != n
+                or any(con.coeff(c) != 1 for c in con.cells)):
+            return None
+    if not all(_same_in_every_row_loop(k, t.weights.items()) for t in game.targets):
+        return None
+    summed = AssignmentConstraint(frozenset((i, j) for i in range(k) for j in range(n)),
+                                  k * first.lower, k * first.upper,
+                                  label=f"{first.name()} .. {last.name()} summed")
+    return (summed, *others)
+
+
+def _same_in_every_row_loop(k, entries) -> bool:
+    per_col: dict[int, tuple[float, int]] = {}
+    for (_, j), v in entries:
+        seen, count = per_col.get(j, (v, 0))
+        if seen != v:
+            return False
+        per_col[j] = (v, count + 1)
+    return all(count == k for _, count in per_col.values())
+
+
+def _random_symmetric_game(rng) -> AraGame:
+    """A raw game with interchangeable rows (row budgets, column-uniform
+    constraints and targets), then with probability 2/3 one random change
+    that may break the symmetry."""
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    upper = int(rng.integers(1, 3))
+    lower = upper if rng.random() < 0.5 else 0
+    cons = [AssignmentConstraint(frozenset((i, j) for j in range(n)), lower, upper,
+                                 label=f"row {i}") for i in range(k)]
+    for c in range(int(rng.integers(0, 3))):
+        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        per_col = {int(j): int(rng.integers(1, 3)) for j in cols}
+        coeffs = {(i, j): c for j, c in per_col.items() for i in range(k)}
+        cons.append(AssignmentConstraint(frozenset(coeffs), 0, k * upper * 2,
+                                         label=f"con {c}", coeffs=coeffs))
+    targets = []
+    for t in range(int(rng.integers(1, 4))):
+        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        per_col = {int(j): float(rng.integers(1, 3)) / 4 for j in cols}
+        weights = {(i, j): w for j, w in per_col.items() for i in range(k)}
+        targets.append(Target(f"t{t}", frozenset(weights), weights, -1.0, -5.0))
+    change = int(rng.integers(0, 12))  # 1-8 change the game
+    if change == 1:  # another budget's bounds
+        i = int(rng.integers(k))
+        cons[i] = AssignmentConstraint(cons[i].cells, 0, upper + 1, cons[i].label)
+    elif change == 2:  # a budget that misses a cell
+        cells = sorted(cons[0].cells)
+        if len(cells) > 1:
+            cons[0] = AssignmentConstraint(frozenset(cells[1:]), lower, upper, cons[0].label)
+    elif change == 3:  # a budget coefficient above one
+        cell = min(cons[0].cells)
+        cons[0] = AssignmentConstraint(cons[0].cells, lower, upper * 2, cons[0].label,
+                                       {cell: 2})
+    elif change == 4:  # a second single-row constraint
+        cons.append(AssignmentConstraint(frozenset({(k - 1, 0)}), 0, 1, label="extra"))
+    elif change == 5 and k > 1:  # a row with no budget
+        cons.pop(0)
+    elif change == 6 and len(cons) > k:  # a constraint that misses one row of a column
+        con = cons[-1]
+        cells = con.cells - {min(con.cells)}
+        if {i for i, _ in cells} and len({i for i, _ in cells}) > 1:
+            cons[-1] = AssignmentConstraint(cells, con.lower, con.upper, con.label,
+                                            {c: con.coeff(c) for c in cells})
+    elif change == 7:  # one target weight differs
+        t = targets[0]
+        weights = dict(t.weights)
+        weights[min(weights)] += 0.25
+        targets[0] = Target(t.id, t.cells, weights, -1.0, -5.0)
+    elif change == 8 and lower == upper and upper > 1:  # budgets in [1, upper]
+        cons[:k] = [AssignmentConstraint(c.cells, 1, upper, c.label) for c in cons[:k]]
+    return AraGame(k, n, tuple(cons), tuple(targets), validate_weights=False)
+
+
+def _games_for_symmetry_test():
+    for seed in range(150):
+        rng = np.random.default_rng(7000 + seed)
+        yield random_raw_game(rng)
+        yield _random_symmetric_game(rng)
+    for seed in range(6):
+        game = encode_fams(random_toy_fams(np.random.default_rng(500 + seed)))
+        yield game
+        yield to_pe0(game).game
+        yield encode_tsg(random_toy_tsg(np.random.default_rng(2000 + seed)))
+        yield _with_redundant_cell_bound(game)
+
+
+def test_over_columns_matches_loop_reference(fig1b_fams):
+    games = list(_games_for_symmetry_test())
+    game = encode_fams(fig1b_fams)
+    games += [game] + [mutate(game) for mutate in (_break_weight, _break_coeff,
+                                                    _break_budget_bounds, _break_budget_equal)]
+    found = [marginal._over_columns(g) for g in games]
+    assert found == [_over_columns_loop(g) for g in games]
+    # both answers occur often enough for the comparison to mean something
+    assert sum(f is None for f in found) > 50
+    assert sum(f is not None for f in found) > 50
