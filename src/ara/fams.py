@@ -3,6 +3,12 @@
 Covers the encoding into the abstract game, the schedule-zeroing repair
 heuristic, the exact best-response search, and a plain column-generation
 solver used as the exact baseline.
+
+The best response (``fams_dbr``) is one branch and bound that packs
+flight-disjoint schedules under one weight per schedule.  Forbidden pairs
+enter only through a bipartite matching of the restricted schedules to
+their allowed marshals, grown by one augmenting path per restricted pick,
+so an instance without forbidden pairs does no matching work at all.
 """
 
 from __future__ import annotations
@@ -155,116 +161,69 @@ class FamsFixer:
         return x
 
 
-def fams_dbr(inst: FamsInstance, d: np.ndarray, node_cap: int = DEFAULT_NODE_CAP,
+def fams_dbr(inst: FamsInstance, w: np.ndarray, node_cap: int = DEFAULT_NODE_CAP,
              total_mass: float = np.inf) -> PureStrategy:
-    """Exact defender best response: maximize the d-weighted allocation over
-    pure strategies by depth-first search over marshal assignments.
+    """Exact defender best response: the pure strategy of largest summed
+    weight ``w[j]`` over its allocated schedules j.
 
-    When every marshal has the same weight row and nothing is forbidden the
-    problem is a max-weight packing of flight-disjoint schedules, searched
-    over schedules directly.  ``total_mass`` (the summed per-flight masses
-    when d[i,j] is the sum over the schedule's flights, as in column
-    generation) tightens the bound: no packing can beat the uncovered mass.
+    A pure strategy is a set of flight-disjoint schedules, one marshal each,
+    so the search is a branch and bound over schedules in order of falling
+    weight: each node extends the packing with a later schedule, while at
+    most ``slots`` marshals remain.  It is bounded by the top ``slots``
+    weights left and by ``total_mass`` minus the packed weight (the summed
+    per-flight masses when ``w[j]`` sums the masses of j's flights, as in
+    column generation: no packing beats the uncovered mass).
+
+    A packing of at most k schedules can be flown exactly when its
+    restricted schedules (those some marshal may not fly) can be matched to
+    distinct allowed marshals; the unrestricted ones take the marshals left
+    over (Hall's theorem).  So only a restricted pick does matching work:
+    one augmenting-path step (Kuhn), undone on backtrack, and the pick is
+    skipped when no path exists; a schedule no marshal may fly never enters
+    the search.  Without forbidden pairs no schedule is restricted, and the
+    i-th schedule of the best packing, in weight order, goes to marshal i.
     """
     k, n = inst.num_marshals, len(inst.schedules)
-    d = np.asarray(d, dtype=float)
-    if d.shape != (k, n):
-        raise GameError(f"weight shape {d.shape} does not match {(k, n)}")
-    if np.any(d < 0):
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise GameError(f"weight shape {w.shape} does not match {(n,)}")
+    if np.any(w < 0):
         raise GameError("best-response weights must be nonnegative")
     col = {s.id: j for j, s in enumerate(inst.schedules)}
-    sched_flights = [frozenset(s.flights) for s in inst.schedules]
-    banned = [set() for _ in range(k)]
+    banned = [set() for _ in range(n)]
     for m, sid in inst.forbidden:
-        banned[m].add(col[sid])
-
-    if not inst.forbidden and np.all(d == d[0]):
-        return _dbr_disjoint_packing(inst, d, sched_flights, node_cap, total_mass)
-
-    # marshals with the same allowed set and weight row are interchangeable;
-    # sorting makes each group contiguous so canonical ordering applies
-    group_key = [(tuple(sorted(banned[i])), d[i].tobytes()) for i in range(k)]
-    order = sorted(range(k), key=lambda i: (group_key[i], i))
-
-    options = []
-    for i in range(k):
-        cols = [j for j in range(n) if j not in banned[i] and d[i, j] > 0]
-        cols.sort(key=lambda j: (-d[i, j], j))
-        options.append(cols)
-    best_of = [(d[i, options[i][0]] if options[i] else 0.0) for i in range(k)]
-    suffix_bound = [0.0] * (k + 1)
-    for pos in range(k - 1, -1, -1):
-        suffix_bound[pos] = suffix_bound[pos + 1] + best_of[order[pos]]
-
-    best_value = -1.0
-    best_assign: list[int | None] = [None] * k
-    assign: list[int | None] = [None] * k
-    nodes = 0
-
-    def rec(pos: int, value: float, covered: frozenset[str], min_rank: int) -> None:
-        nonlocal best_value, best_assign, nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise DbrNodeCapError(f"best-response search passed {node_cap} nodes; "
-                                  "shrink the instance for the column-generation baseline")
-        if value + suffix_bound[pos] <= best_value:
-            return
-        if pos == k:
-            if value > best_value:
-                best_value = value
-                best_assign = assign.copy()
-            return
-        i = order[pos]
-        same_group = pos > 0 and group_key[order[pos - 1]] == group_key[i]
-        start_rank = min_rank if same_group else 0
-        for rank in range(start_rank, len(options[i])):
-            j = options[i][rank]
-            if sched_flights[j] & covered:
-                continue
-            assign[i] = j
-            rec(pos + 1, value + d[i, j], covered | sched_flights[j], rank + 1)
-            assign[i] = None
-        # leaving this marshal unassigned forces the rest of its group empty
-        nxt = pos + 1
-        while nxt < k and group_key[order[nxt]] == group_key[i]:
-            nxt += 1
-        rec(nxt, value, covered, 0)
-
-    rec(0, 0.0, frozenset(), 0)
-    matrix = np.zeros((k, n), dtype=np.int64)
-    for i, j in enumerate(best_assign):
-        if j is not None:
-            matrix[i, j] = 1
-    return PureStrategy(matrix)
-
-
-def _dbr_disjoint_packing(inst: FamsInstance, d: np.ndarray, sched_flights,
-                          node_cap: int, total_mass: float) -> PureStrategy:
-    """Branch and bound over weight-sorted schedules for interchangeable
-    marshals: each node extends the packing with a later schedule."""
-    k = inst.num_marshals
-    w_row = d[0]
-    order = sorted((j for j in range(len(w_row)) if w_row[j] > 1e-12),
-                   key=lambda j: (-w_row[j], j))
-    weights = np.array([w_row[j] for j in order])
-    flights = [sched_flights[j] for j in order]
-    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+        banned[col[sid]].add(m)
+    # None for an unrestricted schedule, else its allowed marshals
+    allowed = [tuple(m for m in range(k) if m not in b) if b else None for b in banned]
+    order = sorted((j for j in range(n) if w[j] > 1e-12 and allowed[j] != ()),
+                   key=lambda j: (-w[j], j))
+    flights = [inst.schedules[j].flights for j in order]
+    # Python floats: the same sums as in NumPy, without the scalar overhead
+    weights = w[order].tolist()
+    prefix = [0.0] + np.cumsum(weights).tolist()
     tie_eps = 1e-12 * max(1.0, prefix[-1])
 
-    best_value = 0.0
-    best_set: list[int] = []
+    best_value, best_set, best_owner = 0.0, [], [None] * k
     chosen: list[int] = []
+    owner: list[int | None] = [None] * k  # the restricted schedule each marshal flies
     nodes = 0
 
+    def augment(j: int, seen: set) -> bool:
+        for m in allowed[j]:
+            if m not in seen:
+                seen.add(m)
+                if owner[m] is None or augment(owner[m], seen):
+                    owner[m] = j
+                    return True
+        return False
+
     def suffix_top(t: int, slots: int) -> float:
-        hi = min(t + slots, len(weights))
-        return prefix[hi] - prefix[t]
+        return prefix[min(t + slots, len(weights))] - prefix[t]
 
     def rec(start: int, slots: int, value: float, covered: frozenset, mass_left: float):
-        nonlocal best_value, best_set, nodes
+        nonlocal best_value, best_set, best_owner, nodes
         if value > best_value:
-            best_value = value
-            best_set = chosen.copy()
+            best_value, best_set, best_owner = value, chosen.copy(), owner.copy()
         if slots == 0 or start >= len(weights):
             return
         if value + min(suffix_top(start, slots), mass_left) <= best_value + tie_eps:
@@ -278,15 +237,22 @@ def _dbr_disjoint_packing(inst: FamsInstance, d: np.ndarray, sched_flights,
                 return
             if flights[t] & covered:
                 continue
-            chosen.append(t)
+            j = order[t]
+            saved = owner.copy() if allowed[j] is not None else None
+            if saved is not None and not augment(j, set()):
+                continue  # a failed search leaves ``owner`` as it was
+            chosen.append(j)
             rec(t + 1, slots - 1, value + weights[t], covered | flights[t],
                 mass_left - weights[t])
             chosen.pop()
+            if saved is not None:
+                owner[:] = saved
 
     rec(0, min(k, len(weights)), 0.0, frozenset(), total_mass)
-    matrix = np.zeros((k, len(w_row)), dtype=np.int64)
-    for i, t in enumerate(best_set):
-        matrix[i, order[t]] = 1
+    matrix = np.zeros((k, n), dtype=np.int64)
+    free = iter([m for m in range(k) if best_owner[m] is None])
+    for j in best_set:
+        matrix[next(free) if allowed[j] is None else best_owner.index(j), j] = 1
     return PureStrategy(matrix)
 
 
@@ -348,8 +314,7 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
         # here runs in flight order
         masses = y * delta
         col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=len(inst.schedules))
-        d = np.tile(col_mass, (inst.num_marshals, 1))
-        column = fams_dbr(inst, d, node_cap=node_cap, total_mass=sum(masses.tolist()))
+        column = fams_dbr(inst, col_mass, node_cap=node_cap, total_mass=sum(masses.tolist()))
         cov = compiled.coverages(column)
         util = u_undef + cov * delta
         slave_value = sum((y * util).tolist())

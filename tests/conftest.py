@@ -56,6 +56,15 @@ def random_toy_fams(rng: np.random.Generator) -> FamsInstance:
     return FamsInstance(marshals, tuple(schedules), flights)
 
 
+
+def with_random_forbidden(inst: FamsInstance, rng: np.random.Generator,
+                          share: float = 0.3) -> FamsInstance:
+    """The same toy with each marshal/schedule pair forbidden with
+    probability ``share``."""
+    forbidden = frozenset((m, s.id) for m in range(inst.num_marshals)
+                          for s in inst.schedules if rng.random() < share)
+    return FamsInstance(inst.num_marshals, inst.schedules, inst.flights, forbidden)
+
 def random_toy_tsg(rng: np.random.Generator) -> TsgInstance:
     """Random screening toy within the corpus caps: at most 3 categories and
     3 teams, capacities at most 6."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from ara.fams import (
     fams_column_generation,
     fams_dbr,
 )
+from ara.generators import GenConfig, gen_fams
 from ara.marginal import solve_marginal
 from ara.sampling import to_pe0
-from conftest import random_toy_fams
+from conftest import random_toy_fams, with_random_forbidden
 
 
 class TestEncode:
@@ -220,14 +223,12 @@ class TestDbr:
             1,
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)))
-        d = np.array([[1.0, 2.0]])
-        best = fams_dbr(inst, d)
+        best = fams_dbr(inst, [1.0, 2.0])
         assert best.values[0, 1] == 1 and best.values[0, 0] == 0
 
     def test_fig1b_matches_enumeration(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
-        d = np.ones((3, 3))
-        best = fams_dbr(fig1b_fams, d)
+        best = fams_dbr(fig1b_fams, np.ones(3))
         ok, _ = is_valid_pure(game, best)
         assert ok
         brute = max(enumerate_pure(game).strategies, key=lambda s: s.values.sum())
@@ -239,25 +240,61 @@ class TestDbr:
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
             frozenset({(0, "s1")}))
-        d = np.array([[1.0, 2.0]])
-        best = fams_dbr(inst, d)
+        best = fams_dbr(inst, [1.0, 2.0])
         assert best.values[0, 0] == 1 and best.values[0, 1] == 0
 
     def test_node_cap(self, fig1b_fams):
         with pytest.raises(DbrNodeCapError, match="shrink"):
-            fams_dbr(fig1b_fams, np.ones((3, 3)), node_cap=2)
+            fams_dbr(fig1b_fams, np.ones(3), node_cap=2)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_on_random_weights(self, seed):
         rng = np.random.default_rng(400 + seed)
-        inst = random_toy_fams(rng)
+        inst = with_random_forbidden(random_toy_fams(rng), rng)
         game = encode_fams(inst)
-        d = rng.uniform(0.1, 2.0, size=(inst.num_marshals, len(inst.schedules)))
-        best = fams_dbr(inst, d)
+        w = rng.uniform(0.1, 2.0, size=len(inst.schedules))
+        best = fams_dbr(inst, w)
         ok, _ = is_valid_pure(game, best)
         assert ok
-        brute = max(float((s.values * d).sum()) for s in enumerate_pure(game).strategies)
-        assert float((best.values * d).sum()) == pytest.approx(brute, abs=1e-9)
+        brute = max(float(s.values.sum(axis=0) @ w) for s in enumerate_pure(game).strategies)
+        assert float(best.values.sum(axis=0) @ w) == pytest.approx(brute, abs=1e-9)
+
+    def test_augmenting_path_places_both(self):
+        # s0 (heavier) may go to marshals {0, 1}, s1 only to {0}: s0 first
+        # takes marshal 0 and must move to marshal 1 so that s1 fits
+        inst = FamsInstance(
+            3,
+            (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
+            (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
+            frozenset({(2, "s0"), (1, "s1"), (2, "s1")}))
+        best = fams_dbr(inst, [2.0, 1.0])
+        assert best.values.tolist() == [[0, 1], [1, 0], [0, 0]]
+
+    def test_backtracking_frees_the_matched_marshal(self):
+        # s0 and s1 may only go to marshal 0; the branch with s0 is searched
+        # first and loses, and s1 must then find marshal 0 free again
+        inst = FamsInstance(
+            2,
+            (Schedule("s0", frozenset({"f0", "f1"})), Schedule("s1", frozenset({"f0"})),
+             Schedule("s2", frozenset({"f1"}))),
+            (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
+            frozenset({(1, "s0"), (1, "s1")}))
+        best = fams_dbr(inst, [3.0, 2.0, 2.0])
+        assert best.values.tolist() == [[0, 1, 0], [0, 0, 1]]
+
+    def test_schedule_forbidden_to_everyone_is_never_picked(self):
+        inst = FamsInstance(
+            2,
+            (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
+            (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
+            frozenset({(0, "s0"), (1, "s0")}))
+        best = fams_dbr(inst, [5.0, 1.0])
+        assert best.values[:, 0].sum() == 0 and best.values[:, 1].sum() == 1
+
+    @pytest.mark.parametrize("w", [np.ones((3, 3)), np.ones(2), [1.0, -1.0, 1.0]])
+    def test_bad_weights_raise(self, fig1b_fams, w):
+        with pytest.raises(GameError, match="weight"):
+            fams_dbr(fig1b_fams, w)
 
 
 class TestColumnGeneration:
@@ -299,6 +336,18 @@ class TestColumnGeneration:
         assert cg.value <= ms.upper_bound + 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
+    def test_cg_with_forbidden_pairs_equals_enumeration(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        inst = with_random_forbidden(random_toy_fams(rng), rng)
+        assert inst.forbidden
+        game = encode_fams(inst)
+        cg = fams_column_generation(inst, tolerance=1e-8)
+        exact = exact_maximin(game, enumerate_pure(game, cap=300_000))
+        ms = solve_marginal(game)
+        assert cg.value == pytest.approx(exact.value, abs=1e-5)
+        assert cg.value <= ms.upper_bound + 1e-6
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_master_is_the_exact_maximin_lp(self, seed):
         inst = random_toy_fams(np.random.default_rng(500 + seed))
         cg = fams_column_generation(inst, tolerance=1e-8)
@@ -322,3 +371,26 @@ class TestColumnGeneration:
         game = encode_fams(fig1b_fams)
         mean = sum(w * s.values for w, s in zip(cg.weights, cg.strategies))
         assert game_value(game, mean) == pytest.approx(cg.value, abs=1e-6)
+
+
+class TestSeededColumnGeneration:
+    """Figures recorded with the marshal-by-marshal and the disjoint-packing
+    searches, before they were folded into one: value, iterations, and a
+    sha256 over the stacked columns and the weights."""
+
+    @pytest.mark.parametrize("seed, value, iterations, digest", [
+        (0, -1.6649953819765173, 77,
+         "873d2967fb362d19ebbb5fcab0c0d9f116bd1e0d6e95e58444335b4141dd95b4"),
+        (2, -2.093512692558039, 54,
+         "86cb81664dc546406309d42a11950deca86dd74fe604551f65234ea88e5f04fa"),
+        (3, -1.576032916166639, 80,
+         "7d28ded88af708f75157c1f0cbebffe068a73cd676b76dfa95df95aa5df6ca90"),
+    ])
+    def test_fams_cg_sizes(self, seed, value, iterations, digest):
+        inst = gen_fams(GenConfig(seed=seed, family="fams", flights=18, schedules=36,
+                                  targets_per_schedule=2, resources=7))
+        cg = fams_column_generation(inst)
+        stacked = np.stack([s.values for s in cg.strategies]).astype(np.int64)
+        assert cg.value == value
+        assert cg.iterations == iterations
+        assert hashlib.sha256(stacked.tobytes() + cg.weights.tobytes()).hexdigest() == digest

@@ -1,16 +1,20 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private top-level function or class is used somewhere in the package.
 
 No linter runs on this repository, so this walks the syntax trees instead.
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ara"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +43,45 @@ def test_no_unused_imports(path):
 def test_checker_sees_unused_names():
     source = "import os\nfrom a.b import c, d as e\nimport x.y\nprint(c, x)\n"
     assert unused_imports(source) == ["e (line 2)", "os (line 1)"]
+
+
+def _references(tree: ast.AST) -> Counter:
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1  # forward references
+    return names
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes that nothing in ``sources``
+    (module name -> text) refers to outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+                  and total[node.name] == _references(node)[node.name])
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
+
+
+def test_checker_sees_unreferenced_helpers():
+    sources = {
+        "a": "def _used():\n    pass\n\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+             "class _Dead:\n    pass\n\n"
+             "def _typed() -> '_Forward':\n    return _used()\n",
+        "b": "from a import _typed\n\nclass _Forward:\n    pass\n\n"
+             "def public():\n    return _typed()\n",
+    }
+    assert unreferenced_private(sources) == ["a._Dead", "a._recursive"]
