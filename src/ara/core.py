@@ -20,7 +20,8 @@ from ara import lp as lpmod
 CellIndex = tuple[int, int]
 
 MARGINAL_TOL = 1e-7
-DEFAULT_MAX_TARGETS_FACTOR = 64
+# a game may have at most this many targets per cell
+MAX_TARGETS_FACTOR = 64
 
 
 class GameError(Exception):
@@ -110,7 +111,6 @@ class AraGame:
     constraints: tuple[AssignmentConstraint, ...]
     targets: tuple[Target, ...]
     adversary_types: tuple[AdversaryType, ...] = ()
-    max_targets_factor: int = DEFAULT_MAX_TARGETS_FACTOR
     validate_weights: bool = True
 
     def __post_init__(self):
@@ -118,9 +118,9 @@ class AraGame:
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.k < 1 or self.n < 1:
             raise GameError("matrix dimensions must be positive")
-        if len(self.targets) > self.k * self.n * self.max_targets_factor:
+        if len(self.targets) > self.k * self.n * MAX_TARGETS_FACTOR:
             raise GameError(f"{len(self.targets)} targets exceeds the "
-                            f"{self.k * self.n * self.max_targets_factor} cap")
+                            f"{self.k * self.n * MAX_TARGETS_FACTOR} cap")
         for con in self.constraints:
             self._check_cells(con.cells, f"constraint {con.name()}")
         ids = [t.id for t in self.targets]

@@ -134,7 +134,7 @@ def maximin_lp(game: AraGame, covs: np.ndarray) -> LinearProgram:
     for z, (idx, a) in enumerate(active, start=m):
         tids = np.flatnonzero(compiled.target_type == idx)
         prog.objective[z] = a.probability
-        prog.set_bounds(z, lower=pu[tids].min())
+        prog.lower[z] = pu[tids].min()
         for t in tids:
             coeffs = {z: 1.0}
             coeffs.update((i, -u) for i, u in enumerate(util[:, t]) if u != 0.0)

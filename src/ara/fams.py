@@ -24,6 +24,8 @@ from ara.lp import solve_lp
 from ara.sampling import Pe0Form
 
 DEFAULT_NODE_CAP = 10 ** 7
+# column-generation iterations before ``fams_column_generation`` gives up
+CG_MAX_ITERS = 1000
 
 
 class DbrNodeCapError(GameError):
@@ -265,7 +267,6 @@ class CgResult:
 
 
 def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
-                           max_iters: int = 1000, node_cap: int = DEFAULT_NODE_CAP,
                            cutoff_s: float | None = None) -> CgResult:
     """Exact zero-sum value by column generation.
 
@@ -273,7 +274,9 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
     pure strategies plus an always-feasible empty allocation; the slave
     prices columns by the master's flight duals through the exact
     best-response search, and the loop stops once no column improves by
-    more than ``tolerance``.
+    more than ``tolerance``.  Past ``CG_MAX_ITERS`` iterations it raises
+    ``GameError``, and a best-response search past ``DEFAULT_NODE_CAP``
+    nodes raises ``DbrNodeCapError``.
 
     The master is built once.  Each priced column is appended to it with
     ``LinearProgram.add_column`` and the master is re-solved warm, by
@@ -299,7 +302,7 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
     master = maximin_lp(game, cov[None])
     state = None
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, CG_MAX_ITERS + 1):
         if cutoff_s is not None and time.monotonic() - start > cutoff_s:
             raise SolveTimeout(cutoff_s)
         sol = solve_lp(master, warm=state)
@@ -314,7 +317,7 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
         # here runs in flight order
         masses = y * delta
         col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=len(inst.schedules))
-        column = fams_dbr(inst, col_mass, node_cap=node_cap, total_mass=sum(masses.tolist()))
+        column = fams_dbr(inst, col_mass, total_mass=sum(masses.tolist()))
         cov = compiled.coverages(column)
         util = u_undef + cov * delta
         slave_value = sum((y * util).tolist())
@@ -330,4 +333,4 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
         coeffs = {t: -u for t, u in enumerate(util.tolist()) if u != 0.0}
         coeffs[mix_row] = 1.0
         master.add_column(coeffs, 0.0)
-    raise GameError(f"column generation did not converge in {max_iters} iterations")
+    raise GameError(f"column generation did not converge in {CG_MAX_ITERS} iterations")

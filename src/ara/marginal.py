@@ -118,7 +118,7 @@ def _marginal_lp(game: AraGame, constraints, var, nx: int) -> LinearProgram:
         # z is at least the worst undefended payoff, which keeps the
         # initial slack basis feasible without an artificial variable.
         floor = min(game.target(t).payoff_undefended for t in a.targets)
-        prog.set_bounds(z, lower=floor)
+        prog.lower[z] = floor
         for tid in sorted(a.targets):
             t = game.target(tid)
             coeffs = {z: 1.0}

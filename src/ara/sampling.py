@@ -134,8 +134,7 @@ def to_pe0(game: AraGame) -> Pe0Form:
                                                label=f"{budget.name()} (with slack)"))
     carried = [AssignmentConstraint(c.cells, c.lower, c.upper, c.label, c.coeffs) for c in others]
     ext = AraGame(game.k, n_ext, tuple(equalities) + tuple(carried), game.targets,
-                  game.adversary_types, max_targets_factor=game.max_targets_factor,
-                  validate_weights=False)
+                  game.adversary_types, validate_weights=False)
     return Pe0Form(ext, tuple(equalities), tuple(carried), game, game.n)
 
 
@@ -196,6 +195,9 @@ class _CombSampler:
 
     def __init__(self, pe0: Pe0Form, x: np.ndarray):
         self.shape = (pe0.game.k, pe0.game.n)
+        if x.shape != self.shape:
+            raise GameError(f"marginal shape {x.shape} is not the PE0 game's {self.shape}; "
+                            "solve the marginal LP of pe0.game")
         values = x.ravel()
         self.base = np.zeros(values.size, dtype=np.int64)
         groups = []  # (cells, cumulative fractions, buckets) of groups that draw
@@ -225,23 +227,6 @@ class _CombSampler:
         return out.reshape(self.shape)
 
 
-def _marginal_on_pe0(ms: MarginalSolution, pe0: Pe0Form) -> np.ndarray:
-    """Extend the marginal with slack-column values when the form added one."""
-    x = ms.x_m.values
-    if x.shape == (pe0.game.k, pe0.game.n):
-        return x
-    if x.shape != (pe0.source_game.k, pe0.source_game.n):
-        raise GameError(f"marginal shape {x.shape} matches neither the source nor the PE0 game")
-    ext = np.zeros((pe0.game.k, pe0.game.n))
-    ext[:, :pe0.source_cols] = x
-    for con in pe0.equality_partition:
-        short = con.lower - con.value(ext)
-        slack_cells = [c for c in con.sorted_cells() if c[1] >= pe0.source_cols]
-        if slack_cells:
-            ext[slack_cells[0]] = max(0.0, short)
-    return ext
-
-
 def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
                        rng: np.random.Generator, retry_cap: int) -> tuple[np.ndarray, int]:
     failures = 0
@@ -269,8 +254,9 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
 def sample_pure(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
                 rng: np.random.Generator, retry_cap: int = DEFAULT_RETRY_CAP) -> PureStrategy:
     """Draw one valid pure strategy for the source game, resampling with
-    fresh randomness when equality repair fails."""
-    sampler = _CombSampler(pe0, _marginal_on_pe0(ms, pe0))
+    fresh randomness when equality repair fails.  ``ms`` is the marginal
+    solution of ``pe0.game``."""
+    sampler = _CombSampler(pe0, ms.x_m.values)
     matrix, _ = _sample_with_stats(sampler, pe0, fixer, rng, retry_cap)
     return PureStrategy(matrix)
 
@@ -285,11 +271,12 @@ class EstimateResult:
 def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
                    rng: np.random.Generator, m: int,
                    retry_cap: int = DEFAULT_RETRY_CAP) -> EstimateResult:
-    """Average m sampled pure strategies and evaluate the source game on the
-    averaged matrix."""
+    """Average m sampled pure strategies, drawn from the marginal solution
+    ``ms`` of ``pe0.game``, and evaluate the source game on the averaged
+    matrix."""
     if m < 1:
         raise GameError("need at least one sample")
-    sampler = _CombSampler(pe0, _marginal_on_pe0(ms, pe0))
+    sampler = _CombSampler(pe0, ms.x_m.values)
     samples = []
     failures = 0
     for _ in range(m):

@@ -132,74 +132,56 @@ class TsgFixer:
     """Capacity repair lowers allocation one unit at a time, most violated
     resource first and highest-passenger category within it; equality repair
     refills short categories fewest-passengers-first using the feasible team
-    whose member resources have the least remaining slack."""
+    whose member resources have the least remaining slack.
+
+    Built once from the instance: ``usage[i, r]``, how often team i holds
+    resource r; the capacities; every cell in repair order (descending
+    passengers, category id, team id); and the refill order (ascending
+    passengers, category id).  A matrix x uses ``usage.T @ x.sum(axis=1)``
+    of the capacities.
+    """
 
     def __init__(self, inst: TsgInstance):
         self.inst = inst
-        self.passengers = np.array([c.passengers for c in inst.categories], dtype=np.int64)
-        self._ctx = None
-
-    def _context(self, pe0: Pe0Form):
-        """Per-capacity index arrays with cells in repair order (descending
-        passengers, category id, team id), each team's (capacity, multiplicity)
-        pairs, and the refill order (ascending passengers, category id)."""
-        if self._ctx is None or self._ctx[0] is not pe0:
-            cats = self.inst.categories
-            caps = []
-            for con in pe0.inequalities:
-                cells = sorted(con.cells, key=lambda c: (-cats[c[1]].passengers,
-                                                         cats[c[1]].id,
-                                                         self.inst.teams[c[0]].id))
-                rows = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-                cols = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-                coeffs = np.fromiter((con.coeff(c) for c in cells), dtype=np.int64,
-                                     count=len(cells))
-                caps.append((con.name(), rows, cols, coeffs, con.upper))
-            member_caps = [[] for _ in self.inst.teams]
-            for idx, (_name, rows, _cols, coeffs, _upper) in enumerate(caps):
-                for i, mult in dict(zip(rows.tolist(), coeffs.tolist())).items():
-                    member_caps[i].append((idx, mult))
-            refill = sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id))
-            self._ctx = (pe0, caps, member_caps, refill)
-        return self._ctx[1:]
+        cats, teams = inst.categories, inst.teams
+        self.passengers = np.array([c.passengers for c in cats], dtype=np.int64)
+        self.usage = np.array([[t.members.count(r.id) for r in inst.resources] for t in teams],
+                              dtype=np.int64).reshape(len(teams), len(inst.resources))
+        self.capacity = np.array([r.capacity for r in inst.resources], dtype=np.int64)
+        cells = sorted(((i, j) for i in range(len(teams)) for j in range(len(cats))),
+                       key=lambda c: (-cats[c[1]].passengers, cats[c[1]].id, teams[c[0]].id))
+        self.cell_rows, self.cell_cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        self.refill = sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id))
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        caps, member_caps, _ = self._context(pe0)
         x = x.copy()
-        over = np.array([int((x[rows, cols] * coeffs).sum()) - upper
-                         for _, rows, cols, coeffs, upper in caps], dtype=np.int64)
-        while caps and over.max() > 0:
-            _name, rows, cols, _coeffs, _upper = caps[int(np.argmax(over))]  # first of the worst
-            hit = int(np.nonzero(x[rows, cols] > 0)[0][0])
+        rows, cols = self.cell_rows, self.cell_cols
+        over = self.usage.T @ x.sum(axis=1) - self.capacity
+        while np.any(over > 0):
+            r = int(np.argmax(over))  # first of the worst
+            hit = int(np.argmax((x[rows, cols] > 0) & (self.usage[rows, r] > 0)))
             x[rows[hit], cols[hit]] -= 1
             # the decremented team may draw on several resources
-            for idx, mult in member_caps[rows[hit]]:
-                over[idx] -= mult
+            over -= self.usage[rows[hit]]
         return x
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        caps, member_caps, refill = self._context(pe0)
         x = x.copy()
-        slack = [upper - int((x[rows, cols] * coeffs).sum())
-                 for _n, rows, cols, coeffs, upper in caps]
+        unused = self.usage == 0
+        slack = self.capacity - self.usage.T @ x.sum(axis=1)
         # refilling category j changes column j only
         short = self.passengers - x.sum(axis=0)
-        for j in refill:
-            need = int(short[j])
-            while need > 0:
-                best_team, best_bottleneck = -1, None
-                for i, members in enumerate(member_caps):
-                    if all(slack[idx] >= mult for idx, mult in members):
-                        bottleneck = min(slack[idx] for idx, _ in members)
-                        if best_bottleneck is None or bottleneck < best_bottleneck:
-                            best_team, best_bottleneck = i, bottleneck
-                if best_team < 0:
+        for j in self.refill:
+            for need in range(int(short[j]), 0, -1):
+                fits = np.all(unused | (slack >= self.usage), axis=1)
+                if not fits.any():
                     raise EqualityFixFailed(f"category {self.inst.categories[j].id} is short "
                                             f"{need} with no team slack left")
-                x[best_team, j] += 1
-                for idx, mult in member_caps[best_team]:
-                    slack[idx] -= mult
-                need -= 1
+                # the first fitting team with the least slack on its resources
+                bottleneck = np.where(unused, np.inf, slack).min(axis=1)
+                i = int(np.argmin(np.where(fits, bottleneck, np.inf)))
+                x[i, j] += 1
+                slack -= self.usage[i]
         return x
 
 

@@ -322,9 +322,9 @@ class TestTypes:
     def test_target_cap(self):
         con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1)
         targets = tuple(Target(f"t{i}", frozenset({(0, 0)}), {}, 0.0, 0.0)
-                        for i in range(3))
+                        for i in range(65))
         with pytest.raises(GameError, match="cap"):
-            AraGame(1, 1, (con,), targets, max_targets_factor=2)
+            AraGame(1, 1, (con,), targets)
 
     def test_weight_bound_rejected_when_above_one(self):
         con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 2, label="row")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ara import lp as lp_mod
-from ara.lp import FEAS_TOL, LinearProgram, LpError, solve_lp
+from ara.lp import LinearProgram, LpError, solve_lp
 
 
 def test_single_variable():
@@ -41,21 +41,38 @@ def test_unbounded():
     assert sol.status == "unbounded"
 
 
-def test_free_variable_and_equality():
-    lp = LinearProgram(2, objective=np.array([1.0, 0.0]))
-    lp.set_bounds(0, lower=-np.inf)
+def test_negative_lower_bound_and_equality():
+    lp = LinearProgram(2, objective=np.array([1.0, 0.0]), lower=np.array([-10.0, -4.0]))
     lp.add_row({0: 1.0, 1: 1.0}, "=", -2.0)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.values[0] == pytest.approx(-2.0)
+    assert sol.values == pytest.approx([2.0, -4.0])
+    _assert_dual_certificate(lp, sol)
 
 
-def test_upper_bounds_become_rows():
-    lp = LinearProgram(1, objective=np.array([1.0]))
-    lp.set_bounds(0, lower=1.0, upper=4.0)
+def test_lower_bound_shift():
+    # x >= (5, -1) is shifted to zero, which takes the row's rhs to -2: the
+    # tableau negates the row, and it then needs an artificial
+    lp = LinearProgram(2, objective=np.array([-1.0, -1.0]), lower=np.array([5.0, -1.0]))
+    lp.add_row({0: 1.0, 1: -1.0}, "<=", 4.0, label="gap")
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.values[0] == pytest.approx(4.0)
+    assert sol.values == pytest.approx([5.0, 1.0])
+    assert sol.objective_value == pytest.approx(-6.0)
+    assert sol.duals == pytest.approx([1.0])
+    _assert_dual_certificate(lp, sol)
+    # the state keeps the bounds the program was solved with
+    lp.lower[0] = 0.0
+    assert sol.state.shift.tolist() == [5.0, -1.0]
+
+
+@pytest.mark.parametrize("bound", [-np.inf, np.inf, np.nan])
+def test_non_finite_lower_bound_is_refused(bound):
+    lp = LinearProgram(2, objective=np.array([1.0, 0.0]))
+    lp.lower[1] = bound
+    lp.add_row({0: 1.0, 1: 1.0}, "=", -2.0)
+    with pytest.raises(LpError, match="variable 1 has lower bound"):
+        solve_lp(lp)
 
 
 def test_iteration_cap_is_named():
@@ -80,37 +97,33 @@ def test_resolve_is_bit_identical():
 
 
 def _random_feasible_bounded(rng, n=5, m=4):
-    # x0 feasible by construction; the box keeps the program bounded
+    # x0 feasible by construction; the box rows x_j <= 3 keep the program bounded
     lp = LinearProgram(n, objective=rng.uniform(-1, 2, size=n))
     x0 = rng.uniform(0, 1, size=n)
     for _ in range(m):
         a = rng.uniform(-1, 1, size=n)
         slack = rng.uniform(0.1, 1.0)
         lp.add_row({j: a[j] for j in range(n)}, "<=", float(a @ x0 + slack))
-    for j in range(n):
-        lp.set_bounds(j, lower=0.0, upper=3.0)
+    _add_box(lp)
     return lp
+
+
+def _add_box(lp):
+    for j in range(lp.num_vars):
+        lp.add_row({j: 1.0}, "<=", 3.0, label=f"box {j}")
 
 
 def _dual_of(lp):
     """Assemble the dual by hand: rows of the primal become variables.
 
-    Primal: max c.x, Ax <= b, 0 <= x <= u.  Treat the box upper bounds as
-    rows too, so the dual is min b.y + u.w with A^T y + w >= c, y, w >= 0.
+    Primal: max c.x, Ax <= b, x >= 0 (the box rows included in A), so the
+    dual is min b.y with A^T y >= c, y >= 0.
     """
-    n = lp.num_vars
-    m = len(lp.rows)
-    dual = LinearProgram(m + n)
-    dual.objective = np.zeros(m + n)
+    dual = LinearProgram(len(lp.rows))
     for i, row in enumerate(lp.rows):
         dual.objective[i] = -row.rhs  # maximize the negated objective
-    for j in range(n):
-        dual.objective[m + j] = -lp.upper[j]
-    for j in range(n):
-        coeffs = {m + j: 1.0}
-        for i, row in enumerate(lp.rows):
-            if j in row.coeffs:
-                coeffs[i] = row.coeffs[j]
+    for j in range(lp.num_vars):
+        coeffs = {i: row.coeffs[j] for i, row in enumerate(lp.rows) if j in row.coeffs}
         dual.add_row(coeffs, ">=", float(lp.objective[j]))
     return dual
 
@@ -139,8 +152,8 @@ def test_duals_match_shadow_prices(seed):
 
 
 def _random_program(rng, n, m):
-    """Feasible at a random x0 in [0, 1]^n and bounded by the box [0, 3]^n,
-    with a random mix of <=, >= and = rows."""
+    """Feasible at a random x0 in [0, 1]^n, with m random rows of a random
+    mix of <=, >= and =, then the box rows x_j <= 3."""
     lp = LinearProgram(n, objective=rng.uniform(-1, 2, size=n))
     x0 = rng.uniform(0, 1, size=n)
     for i in range(m):
@@ -149,21 +162,19 @@ def _random_program(rng, n, m):
         slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * rng.uniform(0.1, 1.0)
         lp.add_row({j: float(a[j]) for j in range(n)}, relation, float(a @ x0 + slack),
                    label=f"r{i}")
-    for j in range(n):
-        lp.set_bounds(j, upper=3.0)
+    _add_box(lp)
     return lp
 
 
-def _append_random_columns(rng, lp, count):
+def _append_random_columns(rng, lp, count, m):
+    """Append variables x >= 0 on the first m (random) rows, none on the box."""
     for _ in range(count):
-        coeffs = {i: float(rng.uniform(-1, 1)) for i in range(len(lp.rows))
-                  if rng.random() < 0.8}
+        coeffs = {i: float(rng.uniform(-1, 1)) for i in range(m) if rng.random() < 0.8}
         lp.add_column(coeffs, float(rng.uniform(-1, 2)))
 
 
 def _copy(lp):
-    out = LinearProgram(lp.num_vars, lp.objective.copy(), lower=lp.lower.copy(),
-                        upper=lp.upper.copy())
+    out = LinearProgram(lp.num_vars, lp.objective.copy(), lower=lp.lower.copy())
     for row in lp.rows:
         out.add_row(row.coeffs, row.relation, row.rhs, row.label)
     return out
@@ -171,16 +182,14 @@ def _copy(lp):
 
 def _assert_dual_certificate(lp, sol, tol=1e-7):
     """The duals are feasible for the dual program and close the gap:
-    max c.x, rows, 0 <= x <= u has the dual min b.y + u.w with
-    A^T y + w >= c, w >= 0, y >= 0 on <= rows, y <= 0 on >= rows."""
+    max c.x, rows, x >= l has the dual min b.y + l.(c - A^T y) with
+    A^T y >= c, y >= 0 on <= rows, y <= 0 on >= rows."""
     y = sol.duals
     sign = {"<=": 1.0, ">=": -1.0, "=": 0.0}
     assert all(sign[row.relation] * yi >= -tol for row, yi in zip(lp.rows, y))
     reduced = lp.objective - _dense(lp).T @ y
-    bounded = np.isfinite(lp.upper)
-    assert np.all(reduced[~bounded] <= tol)
-    w = np.maximum(reduced[bounded], 0.0)
-    dual_obj = sum(row.rhs * yi for row, yi in zip(lp.rows, y)) + lp.upper[bounded] @ w
+    assert np.all(reduced <= tol)
+    dual_obj = sum(row.rhs * yi for row, yi in zip(lp.rows, y)) + lp.lower @ reduced
     assert dual_obj == pytest.approx(sol.objective_value, rel=1e-9, abs=1e-9)
 
 
@@ -202,7 +211,7 @@ def _highs(lp):
                   b_ub=np.concatenate([rhs[rel == "<="], -rhs[rel == ">="]]) if len(ub) else None,
                   A_eq=A[rel == "="] if np.any(rel == "=") else None,
                   b_eq=rhs[rel == "="] if np.any(rel == "=") else None,
-                  bounds=list(zip(lp.lower, lp.upper)), method="highs")
+                  bounds=[(lo, None) for lo in lp.lower], method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, (-res.fun if status == "optimal" else None)
 
@@ -215,7 +224,7 @@ def test_warm_start_agrees_with_cold_solve_and_highs(seed, n, m, added):
     lp = _random_program(rng, n, m)
     base = solve_lp(lp)
     assert base.status == "optimal"
-    _append_random_columns(rng, lp, added)
+    _append_random_columns(rng, lp, added, m)
     warm = solve_lp(lp, warm=base.state)
     cold = solve_lp(_copy(lp))
     status, objective = _highs(lp)
@@ -232,7 +241,7 @@ def test_warm_resolve_pivots_less_than_cold(seed):
     rng = np.random.default_rng(300 + seed)
     lp = _random_program(rng, 12, 10)
     base = solve_lp(lp)
-    _append_random_columns(rng, lp, 1)
+    _append_random_columns(rng, lp, 1, 10)
     warm = solve_lp(lp, warm=base.state)
     cold = solve_lp(_copy(lp))
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
@@ -253,7 +262,7 @@ def test_warm_start_keeps_working_over_many_columns():
     lp = _random_program(rng, 4, 6)
     sol = solve_lp(lp)
     for _ in range(20):
-        _append_random_columns(rng, lp, 1)
+        _append_random_columns(rng, lp, 1, 6)
         sol = solve_lp(lp, warm=sol.state)
         if sol.status != "optimal":
             break
@@ -275,12 +284,12 @@ def test_warm_start_refuses_another_program():
         solve_lp(_random_program(np.random.default_rng(1), 3, 2), warm=state)
 
 
-def test_warm_start_refuses_bounded_new_variable():
+def test_warm_start_refuses_shifted_new_variable():
     lp = _random_program(np.random.default_rng(1), 3, 2)
     state = solve_lp(lp).state
     j = lp.add_column({0: 1.0}, 1.0)
-    lp.set_bounds(j, upper=2.0)
-    with pytest.raises(LpError, match=r"\[0, inf\)"):
+    lp.lower[j] = 2.0
+    with pytest.raises(LpError, match="lower bound 0"):
         solve_lp(lp, warm=state)
 
 
@@ -297,13 +306,13 @@ def test_perturbed_solution_fails_the_primal_check():
     lp.add_row({0: 1.0, 1: -1.0}, "=", 0.0, label="tie")
     sol = solve_lp(lp)
     entries = sol.state.entries
-    lp_mod._verify_primal(lp, entries, sol.values, FEAS_TOL)
+    lp_mod._verify_primal(lp, entries, sol.values)
     with pytest.raises(LpError, match="violates cap"):
-        lp_mod._verify_primal(lp, entries, sol.values * 1.001, FEAS_TOL)
+        lp_mod._verify_primal(lp, entries, sol.values * 1.001)
     with pytest.raises(LpError, match="violates tie"):
-        lp_mod._verify_primal(lp, entries, sol.values - [1e-3, 0.0], FEAS_TOL)
+        lp_mod._verify_primal(lp, entries, sol.values - [1e-3, 0.0])
     with pytest.raises(LpError, match="variable bounds"):
-        lp_mod._verify_primal(lp, entries, np.array([-1.0, -1.0]), FEAS_TOL)
+        lp_mod._verify_primal(lp, entries, np.array([-1.0, -1.0]))
 
 
 def test_oversized_tableau_is_refused_before_allocating():

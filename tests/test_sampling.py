@@ -14,7 +14,6 @@ from ara.sampling import (
     SamplingFailure,
     _CombSampler,
     _comb_round,
-    _marginal_on_pe0,
     comb_sample,
     estimate_mixed,
     sample_pure,
@@ -272,7 +271,7 @@ class TestMarginalPreservation:
         game = encode_tsg(fig1c_tsg)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
-        x = _marginal_on_pe0(ms, pe0)
+        x = ms.x_m.values
         sampler = _CombSampler(pe0, x)
         rng = np.random.default_rng(11)
         n = 20_000
@@ -286,7 +285,7 @@ class TestMarginalPreservation:
         game = encode_fams(fig1b_fams)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
-        sampler = _CombSampler(pe0, _marginal_on_pe0(ms, pe0))
+        sampler = _CombSampler(pe0, ms.x_m.values)
         rng = np.random.default_rng(12)
         for _ in range(500):
             s = sampler.sample(rng)
@@ -318,3 +317,13 @@ class TestEstimateMixed:
         a = estimate_mixed(ms, pe0, fixer, np.random.default_rng(1), m=1000).value
         b = estimate_mixed(ms, pe0, fixer, np.random.default_rng(2), m=1000).value
         assert abs(a - b) / abs(a) < 0.05
+
+    def test_source_game_marginal_is_refused(self, fig1b_fams):
+        # the FAMS form adds a slack column, so the source marginal is a column short
+        game = encode_fams(fig1b_fams)
+        pe0 = to_pe0(game)
+        ms = solve_marginal(game)
+        with pytest.raises(GameError, match="marginal shape"):
+            estimate_mixed(ms, pe0, FamsFixer(), np.random.default_rng(0), m=1)
+        with pytest.raises(GameError, match="marginal shape"):
+            sample_pure(ms, pe0, FamsFixer(), np.random.default_rng(0))

@@ -168,6 +168,86 @@ class TestFixEqualities:
         assert "big" in str(err.value) and "small" not in str(err.value)
 
 
+def _random_multiset_tsg(rng):
+    """A screening instance whose teams may hold a resource twice, with ids
+    out of index order so that the id tie-breaks matter."""
+    while True:
+        n_res, n_teams, n_cats = (int(v) for v in rng.integers(1, [4, 5, 6]))
+        team_ids, cat_ids = rng.permutation(n_teams), rng.permutation(n_cats)
+        resources = tuple(ResourceSpec(f"r{r}", int(rng.integers(0, 12))) for r in range(n_res))
+        teams = tuple(TeamSpec(f"t{team_ids[i]}", tuple(f"r{m}" for m in rng.integers(
+            0, n_res, size=int(rng.integers(1, 4)))), 0.5) for i in range(n_teams))
+        cats = tuple(CategorySpec(f"c{cat_ids[j]}", "risk", f"f{j}", int(rng.integers(1, 4)),
+                                  -1.0, -3.0) for j in range(n_cats))
+        try:
+            return TsgInstance(resources, teams, cats, (RiskLevel("risk", 1.0),))
+        except GameError:
+            continue
+
+
+def _reference_fix_inequalities(inst, x):
+    """Capacity repair cell by cell: take one unit off the first cell with
+    allocation, in (-passengers, category id, team id) order, among the
+    teams using the first most violated resource, until none is over."""
+    teams, cats = inst.teams, inst.categories
+    x = x.copy()
+    while True:
+        over = [sum(t.members.count(r.id) * x[i].sum() for i, t in enumerate(teams)) - r.capacity
+                for r in inst.resources]
+        if max(over, default=0) <= 0:
+            return x
+        r = inst.resources[over.index(max(over))]
+        cells = [(i, j) for i, t in enumerate(teams) if r.id in t.members
+                 for j in range(len(cats)) if x[i, j] > 0]
+        x[min(cells, key=lambda c: (-cats[c[1]].passengers, cats[c[1]].id, teams[c[0]].id))] -= 1
+
+
+def _reference_fix_equalities(inst, x):
+    """Equality repair unit by unit: categories by (passengers, id), each
+    unit to the first team whose resources all have room, least slack first."""
+    teams, cats = inst.teams, inst.categories
+    x = x.copy()
+
+    def slack(r):
+        return r.capacity - sum(t.members.count(r.id) * x[i].sum() for i, t in enumerate(teams))
+
+    for j in sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id)):
+        while x[:, j].sum() < cats[j].passengers:
+            fits = [i for i, t in enumerate(teams)
+                    if all(slack(r) >= t.members.count(r.id) for r in inst.resources
+                           if r.id in t.members)]
+            if not fits:
+                need = cats[j].passengers - x[:, j].sum()
+                raise EqualityFixFailed(f"category {cats[j].id} is short {need} "
+                                        "with no team slack left")
+            i = min(fits, key=lambda i: min(slack(r) for r in inst.resources
+                                            if r.id in teams[i].members))
+            x[i, j] += 1
+    return x
+
+
+def _outcome(fix, *args):
+    try:
+        return fix(*args).tolist()
+    except EqualityFixFailed as err:
+        return str(err)
+
+
+class TestFixersMatchReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_multiset_instances(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(25):
+            inst = _random_multiset_tsg(rng)
+            fixer, pe0 = TsgFixer(inst), to_pe0(encode_tsg(inst))
+            x = rng.integers(0, 4, size=(len(inst.teams), len(inst.categories)))
+            fixed = fixer.fix_inequalities(x, pe0, rng)
+            assert fixed.tolist() == _reference_fix_inequalities(inst, x).tolist()
+            for y in (x, fixed):
+                assert (_outcome(fixer.fix_equalities, y, pe0, rng)
+                        == _outcome(_reference_fix_equalities, inst, y))
+
+
 class TestDetectionRatio:
     def test_identity_ratio(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
