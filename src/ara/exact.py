@@ -13,6 +13,9 @@ from ara.lp import LinearProgram, solve_lp
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
+# largest total size of the strategy matrices an enumeration may keep
+MAX_ENUM_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class EnumeratedStrategySet:
@@ -24,7 +27,9 @@ def enumerate_pure(game: AraGame, cap: int = DEFAULT_ENUM_CAP) -> EnumeratedStra
     """Depth-first search over cells with running-sum constraint propagation.
 
     Exhaustive iff the strategy count stays within ``cap``; otherwise the
-    result is truncated and unusable for certification.
+    result is truncated and unusable for certification.  Every strategy is
+    kept as a k x n matrix, so the search raises ``GameError`` once the kept
+    matrices would pass ``MAX_ENUM_BYTES``, whatever ``cap`` allows.
     """
     if cap < 1:
         raise GameError("cap must be at least 1")
@@ -95,6 +100,9 @@ def enumerate_pure(game: AraGame, cap: int = DEFAULT_ENUM_CAP) -> EnumeratedStra
         elif len(out) >= cap:
             truncated = True
             break
+        elif (len(out) + 1) * matrix.nbytes > MAX_ENUM_BYTES:
+            raise GameError(f"more than {len(out)} pure strategies of {k} x {n} cells "
+                            f"would pass the {MAX_ENUM_BYTES / 2**30:g} GiB enumeration limit")
         else:
             out.append(PureStrategy(matrix.copy()))
 

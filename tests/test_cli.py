@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ara import cli, lp
+from ara import cli, exact, lp
 from ara.cli import main, run_method
 from ara.core import AraGame, AssignmentConstraint, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
@@ -95,16 +95,29 @@ class TestSolveCommand:
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3
 
-    def test_exact_on_wide_game_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _wide_game_file(tmp_path):
         # one level of search per cell: 1,500 cells once overflowed the stack
         cells = frozenset((0, j) for j in range(1500))
         game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),),
                        (Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0),))
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(game_to_json(game)))
+        return path
+
+    def test_exact_on_wide_game_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
+        path = self._wide_game_file(tmp_path)
         monkeypatch.setattr(cli, "ENUM_CAP", 10)
         assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_exact_past_the_enumeration_budget_is_a_solver_error(self, tmp_path,
+                                                                monkeypatch, capsys):
+        # 1,501 strategies of 12,000 bytes each would pass a 1 MiB budget
+        path = self._wide_game_file(tmp_path)
+        monkeypatch.setattr(exact, "MAX_ENUM_BYTES", 1 << 20)
+        assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
+        assert "GiB enumeration limit" in capsys.readouterr().err
 
     def test_non_integral_fractional_mass_is_a_solver_error(self, tsg_file, monkeypatch,
                                                             capsys):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ara import exact
 from ara.core import AraGame, AssignmentConstraint, GameError, PureStrategy, Target, game_value, is_valid_pure
 from ara.exact import enumerate_pure, exact_maximin
 from ara.fams import encode_fams
@@ -75,6 +78,23 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
     assert out.truncated
     assert len(out.strategies) == 10
     assert all(is_valid_pure(game, s)[0] for s in out.strategies)
+
+
+def test_enumeration_past_the_byte_budget_is_refused(monkeypatch):
+    # 2,001 strategies of 1 x 2,000 int64 cells would keep 32 MB; a 1 MiB
+    # budget stops the search at 65 of them (16,000 bytes each)
+    cells = frozenset((0, j) for j in range(2000))
+    t = Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0)
+    game = AraGame(1, 2000, (AssignmentConstraint(cells, 0, 1, label="row"),), (t,))
+    monkeypatch.setattr(exact, "MAX_ENUM_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GameError, match="more than 65 pure strategies of 1 x 2000 cells"):
+            enumerate_pure(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_single_strategy_value():

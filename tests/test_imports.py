@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private top-level function or class is used somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+top-level function or class is used somewhere in the package, and no module
+imports scipy.
 
 No linter runs on this repository, so this walks the syntax trees instead.
 ``__init__.py`` is left out of the import check: it imports names to
@@ -85,3 +86,29 @@ def test_checker_sees_unreferenced_helpers():
              "def public():\n    return _typed()\n",
     }
     assert unreferenced_private(sources) == ["a._Dead", "a._recursive"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports, at any depth."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    # importing HiGHS (scipy.optimize) adds about 50 MB RSS, past the benchmark's
+    # 10 % peak_rss_mb bound; tests and the benchmark's checks may use it
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_checker_sees_scipy_imports():
+    source = ("import numpy as np\n"
+              "def f():\n    from scipy.optimize import linprog\n    return linprog\n"
+              "import scipy.sparse as sp\nfrom . import lp\n")
+    assert imported_modules(source) == {"numpy", "scipy"}

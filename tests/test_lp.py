@@ -1,4 +1,7 @@
 import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -305,14 +308,14 @@ def test_perturbed_solution_fails_the_primal_check():
     lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0, label="cap")
     lp.add_row({0: 1.0, 1: -1.0}, "=", 0.0, label="tie")
     sol = solve_lp(lp)
-    entries = sol.state.entries
-    lp_mod._verify_primal(lp, entries, sol.values)
+    state = sol.state
+    lp_mod._verify_primal(lp, state, sol.values)
     with pytest.raises(LpError, match="violates cap"):
-        lp_mod._verify_primal(lp, entries, sol.values * 1.001)
+        lp_mod._verify_primal(lp, state, sol.values * 1.001)
     with pytest.raises(LpError, match="violates tie"):
-        lp_mod._verify_primal(lp, entries, sol.values - [1e-3, 0.0])
+        lp_mod._verify_primal(lp, state, sol.values - [1e-3, 0.0])
     with pytest.raises(LpError, match="variable bounds"):
-        lp_mod._verify_primal(lp, entries, np.array([-1.0, -1.0]))
+        lp_mod._verify_primal(lp, state, np.array([-1.0, -1.0]))
 
 
 def test_oversized_tableau_is_refused_before_allocating():
@@ -328,3 +331,183 @@ def test_oversized_tableau_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+# The row-sparse pivot loop against the dense loop it replaced.  Both must
+# reach the same tableau bit for bit: a zero factor leaves its row as it is,
+# and the eligible-rows ratio test forms the same quotients.
+
+def _reference_pivot_loop(T, b, basis, costs, banned, cap, events):
+    """``ara.lp._pivot_loop`` as it was before the row-sparse elimination and
+    the eligible-rows ratio test: every pivot runs the ratio test over all
+    rows and eliminates over the whole tableau.  The ``events`` lines only
+    count, in a Counter, what the solve went through."""
+    nr, total = T.shape
+    bland = False
+    stall = 0
+    last_obj = float(costs[basis] @ b)
+    for pivots in range(cap):
+        red = costs - T.T @ costs[basis]
+        if banned is not None:
+            red = np.where(banned, -np.inf, red)
+        red[basis] = -np.inf
+        if bland:
+            cand = np.nonzero(red > lp_mod.OPT_TOL)[0]
+            if cand.size == 0:
+                return "optimal", pivots
+            enter = int(cand[0])
+        else:
+            enter = int(np.argmax(red))
+            if red[enter] <= lp_mod.OPT_TOL:
+                return "optimal", pivots
+
+        col = T[:, enter]
+        elig = col > lp_mod.FEAS_TOL
+        art_rows = np.zeros(nr, dtype=bool)
+        if banned is not None:
+            art_rows = banned[basis] & (np.abs(col) > lp_mod.FEAS_TOL)
+            elig = elig | art_rows
+        if not np.any(elig):
+            return "unbounded", pivots
+        safe_col = np.where(np.abs(col) > lp_mod.FEAS_TOL, col, 1.0)
+        ratios = np.where(elig, b / safe_col, np.inf)
+        ratios = np.where(art_rows, 0.0, ratios)
+        best = np.min(ratios)
+        ties = np.nonzero(ratios <= best + 1e-12)[0]
+        # prefer driving artificials out, then Bland's lowest basis index
+        tie_order = np.lexsort((basis[ties], ~art_rows[ties]))
+        leave = int(ties[tie_order[0]])
+
+        piv = T[leave, enter]
+        T[leave] /= piv
+        b[leave] /= piv
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        events["phase 1" if banned is None else "phase 2"] += 1
+        events["artificial row crossed"] += bool(art_rows.any())
+        events["tied ratios"] += ties.size > 1
+        sparse = np.count_nonzero(factors) < lp_mod._SPARSE_SHARE * nr
+        events["row-sparse" if sparse else "whole tableau"] += 1
+        T -= np.outer(factors, T[leave])
+        b -= factors * b[leave]
+        np.maximum(b, 0.0, out=b)
+        basis[leave] = enter
+
+        cur = float(costs[basis] @ b)
+        if cur > last_obj + 1e-12:
+            bland = False
+            stall = 0
+        else:
+            stall += 1
+            if stall >= lp_mod._STALL_PIVOTS:
+                events["Bland"] += not bland
+                bland = True
+        last_obj = cur
+    raise LpError(f"simplex exceeded iteration cap of {cap} pivots")
+
+
+@contextmanager
+def _pivot_loop(loop):
+    real = lp_mod._pivot_loop
+    lp_mod._pivot_loop = loop
+    try:
+        yield
+    finally:
+        lp_mod._pivot_loop = real
+
+
+def _block_program(rng, blocks, n, m):
+    """``blocks`` programs of ``_random_program`` side by side.  No row or
+    variable is shared between blocks, so a tableau column touches the rows
+    of one block only.  Returns the program and, per block, the rows an
+    appended column may touch."""
+    parts = [_random_program(rng, n, m) for _ in range(blocks)]
+    lp = LinearProgram(blocks * n, objective=np.concatenate([p.objective for p in parts]))
+    free_rows = []
+    for k, part in enumerate(parts):
+        free_rows.append(range(len(lp.rows), len(lp.rows) + m))
+        for row in part.rows:
+            lp.add_row({j + k * n: a for j, a in row.coeffs.items()}, row.relation, row.rhs)
+    return lp, free_rows
+
+
+def _cycling_program(rng, extra):
+    """Chvátal's example of cycling under Dantzig's rule (*Linear
+    Programming*, 1983, ch. 3), with each row and the objective scaled by a
+    power of two, which keeps the cycle, and ``extra`` random <=, >= or =
+    rows through the origin.  Every row but the last has right-hand side 0,
+    so the ratio test ties and artificials can end phase 1 basic at zero;
+    without the extra rows the solve cycles until the Bland switch.
+    Returns the program and the rows an appended column may touch."""
+    scale = 2.0 ** rng.integers(-2, 3, size=4)
+    lp = LinearProgram(4, objective=scale[3] * np.array([10.0, -57.0, -9.0, -24.0]))
+    lp.add_row({j: scale[0] * a for j, a in enumerate([0.5, -5.5, -2.5, 9.0])}, "<=", 0.0)
+    lp.add_row({j: scale[1] * a for j, a in enumerate([0.5, -1.5, -0.5, 1.0])}, "<=", 0.0)
+    for _ in range(extra):
+        a = rng.integers(-2, 3, size=4)
+        lp.add_row({j: float(a[j]) for j in range(4) if a[j]},
+                   ("<=", ">=", "=")[int(rng.integers(3))], 0.0)
+    lp.add_row({0: scale[2]}, "<=", scale[2])
+    return lp, [range(len(lp.rows) - 1)]
+
+
+def _reference_program(kind, rng):
+    if kind == "block-sparse":
+        return _block_program(rng, int(rng.integers(3, 6)), int(rng.integers(2, 5)),
+                              int(rng.integers(1, 4)))
+    if kind == "dense":
+        n, m = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+        return _random_program(rng, n, m), [range(m)]
+    return _cycling_program(rng, int(rng.integers(0, 4)))
+
+
+def _assert_same_solve(lp, events, warm=None, ref_warm=None):
+    new = solve_lp(lp, warm=warm)
+    with _pivot_loop(partial(_reference_pivot_loop, events=events)):
+        ref = solve_lp(lp, warm=ref_warm)
+    assert new.status == ref.status
+    assert new.infeasible_rows == ref.infeasible_rows
+    assert new.pivots == ref.pivots
+    assert new.objective_value == ref.objective_value
+    for name in ("values", "duals"):
+        got, want = getattr(new, name), getattr(ref, name)
+        assert (got is None and want is None) or np.array_equal(got, want), name
+    if new.state is not None:
+        assert np.array_equal(new.state.basis, ref.state.basis)
+    return new, ref
+
+
+def _check_against_reference(kind, seed, added, events):
+    """Cold solves, then warm solves after ``added`` appended columns, each
+    within one block's rows, must match the reference loop."""
+    rng = np.random.default_rng(seed)
+    lp, free_rows = _reference_program(kind, rng)
+    new, ref = _assert_same_solve(lp, events)
+    if new.status != "optimal":
+        return
+    for _ in range(added):
+        rows = free_rows[int(rng.integers(len(free_rows)))]
+        lp.add_column({i: float(rng.uniform(-1, 1)) for i in rows if rng.random() < 0.8},
+                      float(rng.uniform(-1, 2)))
+    _assert_same_solve(lp, events, warm=new.state, ref_warm=ref.state)
+
+
+REFERENCE_KINDS = ("block-sparse", "dense", "degenerate")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(REFERENCE_KINDS), seed=st.integers(0, 2**32 - 1),
+       added=st.integers(1, 4))
+def test_pivot_loop_matches_the_dense_reference_bit_for_bit(kind, seed, added):
+    _check_against_reference(kind, seed, added, Counter())
+
+
+def test_reference_programs_reach_every_pivot_path():
+    # the property test is only as strong as the paths its programs take
+    events = Counter()
+    for kind in REFERENCE_KINDS:
+        for seed in range(10):
+            _check_against_reference(kind, seed, 2, events)
+    for event in ("phase 1", "phase 2", "artificial row crossed", "tied ratios",
+                  "row-sparse", "whole tableau", "Bland"):
+        assert events[event] > 0, event
