@@ -18,10 +18,7 @@ from ara.core import (
     PureStrategy,
     Target,
     check_implementability,
-    coverage,
-    defender_utility,
     game_value,
-    is_valid_pure,
 )
 from ara.exact import EnumeratedStrategySet, enumerate_pure, exact_maximin
 from ara.lp import LinearProgram, LpError, LpSolution, solve_lp
@@ -31,9 +28,7 @@ from ara.sampling import (
     Pe0Form,
     Pe0StructureError,
     SamplingFailure,
-    comb_sample,
     estimate_mixed,
-    sample_pure,
     to_pe0,
 )
 
@@ -57,15 +52,10 @@ __all__ = [
     "SamplingFailure",
     "Target",
     "check_implementability",
-    "comb_sample",
-    "coverage",
-    "defender_utility",
     "enumerate_pure",
     "estimate_mixed",
     "exact_maximin",
     "game_value",
-    "is_valid_pure",
-    "sample_pure",
     "solve_lp",
     "solve_marginal",
     "to_pe0",

@@ -23,6 +23,7 @@ from ara.jsonio import (
     fams_to_json,
     instance_digest,
     load_instance,
+    read_json,
     tsg_to_json,
 )
 from ara.lp import LpError
@@ -37,7 +38,6 @@ EXIT_SOLVER = 3
 
 DEFAULT_CUTOFF_S = 600.0
 DEFAULT_SAMPLES = 1000
-ENUM_CAP = 10 ** 6
 
 
 def _encode(family: str, inst):
@@ -60,9 +60,9 @@ def run_method(family: str, inst, method: str, seed: int, samples: int = DEFAULT
         ms = solve_marginal(game)
         value = upper = ms.upper_bound
     elif method == "exact":
-        strategies = enumerate_pure(game, cap=ENUM_CAP)
+        strategies = enumerate_pure(game)
         if strategies.truncated:
-            raise GameError(f"enumeration truncated at {ENUM_CAP} strategies; "
+            raise GameError(f"enumeration truncated at {len(strategies.strategies)} strategies; "
                             "the exact oracle cannot certify this instance")
         value = upper = exact_maximin(game, strategies).value
     elif method == "cg":
@@ -112,8 +112,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     family, inst = load_instance(args.instance)
-    with open(args.instance) as fh:
-        digest = instance_digest(json.load(fh))
+    digest = instance_digest(read_json(args.instance))
     report = run_method(family, inst, args.method, args.seed, samples=args.samples,
                         cutoff_s=args.cutoff_s, digest=digest)
     if args.out:
@@ -149,24 +148,28 @@ def _bench_row(family: str, size: int, rep: int, method: str, base: dict,
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    family = cfg["family"]
-    sizes = cfg["sizes"]
-    reps = int(cfg.get("repetitions", 30))
-    methods = cfg.get("methods", [])
+    cfg = read_json(args.config)
+    try:
+        family = cfg["family"]
+        sizes = list(cfg["sizes"])
+        reps = int(cfg.get("repetitions", 30))
+        methods = list(cfg.get("methods", []))
+        samples = int(cfg.get("samples", DEFAULT_SAMPLES))
+        cutoff_s = float(cfg.get("cutoff_s", DEFAULT_CUTOFF_S))
+        seed_base = int(cfg.get("seed", 0))
+        base = dict(cfg.get("base", {}))
+        for size in sizes:  # the generator's own checks, before any solve
+            GenConfig(seed=seed_base, family=family, flights=size, **base)
+    except (KeyError, TypeError, ValueError, GameError) as exc:
+        raise ParseError(args.config, f"bad config: {exc!r}") from exc
     if not methods:
         raise ParseError(args.config, "config lists no methods")
-    samples = int(cfg.get("samples", DEFAULT_SAMPLES))
-    cutoff_s = float(cfg.get("cutoff_s", DEFAULT_CUTOFF_S))
-    seed_base = int(cfg.get("seed", 0))
-    base = cfg.get("base", {})
 
     rows = [_bench_row(family, size, rep, method, base, samples, cutoff_s, seed_base)
             for size in sizes for rep in range(reps) for method in methods]
 
     by_key = {(r["size"], r["seed"], r["method"]): r for r in rows}
-    reference = {m for m in methods if m in ("exact", "cg")}
+    reference = [m for m in ("exact", "cg") if m in methods]
     for (size, seed, method), row in by_key.items():
         if method != "rand" or row["status"] != "ok":
             continue

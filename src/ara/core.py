@@ -10,7 +10,7 @@ functions, so concurrent use needs no locking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -65,9 +65,6 @@ class AssignmentConstraint:
 
     def coeff(self, cell: CellIndex) -> int:
         return self.coeffs.get(cell, 1) if self.coeffs else 1
-
-    def value(self, matrix: np.ndarray) -> float:
-        return float(sum(self.coeff(c) * matrix[c] for c in self.cells))
 
     def name(self) -> str:
         return self.label or f"constraint over {len(self.cells)} cells"
@@ -281,7 +278,8 @@ class MarginalStrategy:
 
 @dataclass(frozen=True)
 class PureStrategy:
-    """Integral allocation; validity is checked exactly by is_valid_pure."""
+    """Integral, nonnegative allocation; ``constraint_violations`` checks it
+    against a game's constraints."""
 
     values: np.ndarray
 
@@ -302,49 +300,27 @@ class PureStrategy:
 
 @dataclass(frozen=True)
 class MixedStrategyEstimate:
+    """Sampled pure strategies and their cell-wise mean."""
+
     samples: tuple[PureStrategy, ...]
-    mean: np.ndarray
+    mean: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        avg = _sample_mean(self.samples)
-        if np.max(np.abs(mean - avg)) > 1e-12:
-            raise GameError("mean does not match the sample average")
+        samples = tuple(self.samples)
+        if not samples:
+            raise GameError("estimate needs at least one sample")
+        # summed without stacking the samples; the integer sums are exact, so
+        # this equals the mean of the stacked samples bit for bit
+        mean = sum(s.values for s in samples) / len(samples)
         mean.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "samples", tuple(self.samples))
-
-    @classmethod
-    def from_samples(cls, samples) -> "MixedStrategyEstimate":
-        samples = tuple(samples)
-        return cls(samples, _sample_mean(samples))
-
-
-def _sample_mean(samples) -> np.ndarray:
-    """Cell-wise mean without stacking the samples; the integer sums are
-    exact, so this equals the mean of the stacked samples bit for bit."""
-    if not samples:
-        raise GameError("estimate needs at least one sample")
-    return sum(s.values for s in samples) / len(samples)
 
 
 def _values(x) -> np.ndarray:
     if isinstance(x, (MarginalStrategy, PureStrategy)):
         return x.values
     return np.asarray(x)
-
-
-def coverage(game: AraGame, x, target_id: str, clamp: bool = False) -> float:
-    """Weighted allocation mass on the target's cells; the probability the
-    attack is defended.  ``clamp`` trims to [0, 1] for reporting."""
-    compiled = game.compiled
-    c = float(compiled.coverages(x)[compiled.position(target_id)])
-    return min(1.0, max(0.0, c)) if clamp else c
-
-
-def defender_utility(game: AraGame, x, target_id: str) -> float:
-    compiled = game.compiled
-    return float(compiled.utilities(x)[compiled.position(target_id)])
 
 
 def game_value(game: AraGame, x) -> float:
@@ -385,20 +361,6 @@ def constraint_violations(game: AraGame, matrix: np.ndarray, tol: float = 0.0) -
     bad = np.flatnonzero((sums < compiled.lower - tol) | (sums > compiled.upper + tol))
     return [Violation(compiled.names[i], float(sums[i]), int(compiled.lower[i]),
                       int(compiled.upper[i])) for i in bad]
-
-
-def is_valid_pure(game: AraGame, p) -> tuple[bool, list[Violation]]:
-    """Exact integrality and constraint check; the violation list names each
-    failing constraint with its achieved sum."""
-    m = _values(p)
-    if m.shape != (game.k, game.n):
-        raise GameError(f"strategy shape {m.shape} does not match {(game.k, game.n)}")
-    frac = np.abs(m - np.rint(m))
-    if np.any(frac > 0):
-        bad = tuple(np.argwhere(frac > 0)[0])
-        return False, [Violation(f"integrality at cell {bad}", float(m[bad]), 0, 0)]
-    violations = constraint_violations(game, np.rint(m).astype(np.int64), tol=0.0)
-    return not violations, violations
 
 
 @dataclass(frozen=True)

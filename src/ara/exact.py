@@ -11,7 +11,8 @@ import numpy as np
 from ara.core import AraGame, GameError, PureStrategy
 from ara.lp import LinearProgram, solve_lp
 
-DEFAULT_ENUM_CAP = 10 ** 6
+# most pure strategies an enumeration keeps before it stops as truncated
+ENUM_CAP = 10 ** 6
 
 # largest total size of the strategy matrices an enumeration may keep
 MAX_ENUM_BYTES = 1 << 30
@@ -23,16 +24,14 @@ class EnumeratedStrategySet:
     truncated: bool
 
 
-def enumerate_pure(game: AraGame, cap: int = DEFAULT_ENUM_CAP) -> EnumeratedStrategySet:
+def enumerate_pure(game: AraGame) -> EnumeratedStrategySet:
     """Depth-first search over cells with running-sum constraint propagation.
 
-    Exhaustive iff the strategy count stays within ``cap``; otherwise the
-    result is truncated and unusable for certification.  Every strategy is
-    kept as a k x n matrix, so the search raises ``GameError`` once the kept
-    matrices would pass ``MAX_ENUM_BYTES``, whatever ``cap`` allows.
+    Exhaustive iff the strategy count stays within ``ENUM_CAP``; otherwise
+    the result is truncated and unusable for certification.  Every strategy
+    is kept as a k x n matrix, so the search raises ``GameError`` once the
+    kept matrices would pass ``MAX_ENUM_BYTES``, whatever ``ENUM_CAP`` allows.
     """
-    if cap < 1:
-        raise GameError("cap must be at least 1")
     k, n = game.k, game.n
     ncells = k * n
     cons = game.constraints
@@ -97,7 +96,7 @@ def enumerate_pure(game: AraGame, cap: int = DEFAULT_ENUM_CAP) -> EnumeratedStra
         if depth + 1 < ncells:
             depth += 1
             open_cell(depth)
-        elif len(out) >= cap:
+        elif len(out) >= ENUM_CAP:
             truncated = True
             break
         elif (len(out) + 1) * matrix.nbytes > MAX_ENUM_BYTES:
@@ -114,9 +113,6 @@ class MaximinSolution:
     value: float
     weights: np.ndarray
     strategies: tuple[PureStrategy, ...]
-
-    def support(self, tol: float = 1e-9):
-        return [(float(w), s) for w, s in zip(self.weights, self.strategies) if w > tol]
 
 
 def maximin_lp(game: AraGame, covs: np.ndarray) -> LinearProgram:

@@ -23,9 +23,12 @@ from ara.exact import exact_maximin, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
 
-DEFAULT_NODE_CAP = 10 ** 7
+# best-response search nodes before ``fams_dbr`` gives up
+NODE_CAP = 10 ** 7
 # column-generation iterations before ``fams_column_generation`` gives up
 CG_MAX_ITERS = 1000
+# column generation stops once no column improves the master by more than this
+CG_TOL = 1e-6
 
 
 class DbrNodeCapError(GameError):
@@ -163,8 +166,7 @@ class FamsFixer:
         return x
 
 
-def fams_dbr(inst: FamsInstance, w: np.ndarray, node_cap: int = DEFAULT_NODE_CAP,
-             total_mass: float = np.inf) -> PureStrategy:
+def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf) -> PureStrategy:
     """Exact defender best response: the pure strategy of largest summed
     weight ``w[j]`` over its allocated schedules j.
 
@@ -174,7 +176,8 @@ def fams_dbr(inst: FamsInstance, w: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
     most ``slots`` marshals remain.  It is bounded by the top ``slots``
     weights left and by ``total_mass`` minus the packed weight (the summed
     per-flight masses when ``w[j]`` sums the masses of j's flights, as in
-    column generation: no packing beats the uncovered mass).
+    column generation: no packing beats the uncovered mass).  Past
+    ``NODE_CAP`` nodes it raises ``DbrNodeCapError``.
 
     A packing of at most k schedules can be flown exactly when its
     restricted schedules (those some marshal may not fly) can be matched to
@@ -232,8 +235,8 @@ def fams_dbr(inst: FamsInstance, w: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
             return
         for t in range(start, len(weights)):
             nodes += 1
-            if nodes > node_cap:
-                raise DbrNodeCapError(f"best-response search passed {node_cap} nodes; "
+            if nodes > NODE_CAP:
+                raise DbrNodeCapError(f"best-response search passed {NODE_CAP} nodes; "
                                       "shrink the instance for the column-generation baseline")
             if value + suffix_top(t, slots) <= best_value + tie_eps:
                 return
@@ -266,17 +269,16 @@ class CgResult:
     iterations: int
 
 
-def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
-                           cutoff_s: float | None = None) -> CgResult:
+def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) -> CgResult:
     """Exact zero-sum value by column generation.
 
     The restricted master is the maximin LP (``maximin_lp``) over generated
     pure strategies plus an always-feasible empty allocation; the slave
     prices columns by the master's flight duals through the exact
     best-response search, and the loop stops once no column improves by
-    more than ``tolerance``.  Past ``CG_MAX_ITERS`` iterations it raises
-    ``GameError``, and a best-response search past ``DEFAULT_NODE_CAP``
-    nodes raises ``DbrNodeCapError``.
+    more than ``CG_TOL``.  Past ``CG_MAX_ITERS`` iterations it raises
+    ``GameError``, and a best-response search past ``NODE_CAP`` nodes
+    raises ``DbrNodeCapError``.
 
     The master is built once.  Each priced column is appended to it with
     ``LinearProgram.add_column`` and the master is re-solved warm, by
@@ -322,7 +324,7 @@ def fams_column_generation(inst: FamsInstance, tolerance: float = 1e-6,
         util = u_undef + cov * delta
         slave_value = sum((y * util).tolist())
         # a priced column already present means numerical convergence
-        if slave_value <= mu + tolerance or cov.tobytes() in seen:
+        if slave_value <= mu + CG_TOL or cov.tobytes() in seen:
             final = exact_maximin(game, columns)
             if abs(final.value - sol.objective_value) > 1e-9:
                 raise GameError(f"column-generation master value {sol.objective_value} "

@@ -120,15 +120,20 @@ def detect_family(data: dict) -> str:
                      + ", ".join(sorted(data)))
 
 
-def load_instance(path: str):
-    """Read an instance file; returns (family, parsed instance)."""
+def read_json(path: str):
+    """A JSON file's contents; a missing file or bad JSON is a ``ParseError``."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_instance(path: str):
+    """Read an instance file; returns (family, parsed instance)."""
+    data = read_json(path)
     family = detect_family(data)
     if family == "fams":
         return family, fams_from_json(data)

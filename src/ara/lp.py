@@ -40,7 +40,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 FEAS_TOL = 1e-7
-OPT_TOL = 1e-7
+# a column prices in while its reduced cost is above this
+OPT_TOL = 1e-9
+
+# a solve may take this many pivots per tableau row and column
+PIVOT_CAP_FACTOR = 50
 
 # consecutive non-improving pivots tolerated before switching to Bland's rule
 _STALL_PIVOTS = 40
@@ -154,17 +158,16 @@ class LpSolution:
     state: LpState | None = None  # set when optimal
 
 
-def solve_lp(lp: LinearProgram, iter_cap: int | None = None,
-             warm: LpState | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, warm: LpState | None = None) -> LpSolution:
     """Solve ``lp``, max c.x over ``<=``/``>=``/``=`` rows with x >= a finite
     ``lp.lower``, to optimality, or report infeasible/unbounded status.
 
     With ``warm``, the state of an earlier optimal solve of ``lp``, the
     columns appended since are priced in and phase 2 resumes from its basis
     (see the module docstring).  Raises LpError on a non-finite objective
-    or lower bound, and when the pivot count exceeds the iteration cap,
-    which on these well-scaled programs indicates a numerical stall rather
-    than a hard instance.
+    or lower bound, and when a phase takes more than ``PIVOT_CAP_FACTOR`` x
+    (rows + tableau columns) pivots, which on these well-scaled programs
+    indicates a numerical stall rather than a hard instance.
     """
     if not np.all(np.isfinite(lp.objective)):
         raise LpError("objective has non-finite coefficients")
@@ -175,7 +178,7 @@ def solve_lp(lp: LinearProgram, iter_cap: int | None = None,
     s = _tableau(lp) if warm is None else _append_columns(warm, lp)
     T, b, basis = s.tableau, s.rhs, s.basis
     nr, total = T.shape
-    cap = iter_cap if iter_cap is not None else 50 * (nr + total)
+    cap = PIVOT_CAP_FACTOR * (nr + total)
 
     pivots = 0
     if warm is None and np.any(s.banned):

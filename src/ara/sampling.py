@@ -8,8 +8,9 @@ decreasing cells and equalities by increasing them.
 
 RNG draw order.  Each attempt at a sample takes one ``rng.random(G)``: a
 uniform for each of the G equality groups with fractional mass, in
-partition order, the same numbers as ``comb_sample`` group by group.  The
-domain fixer's draws follow; a failed equality repair starts a new attempt.
+partition order (``_CombSampler``).  The domain fixer's draws follow; a
+failed equality repair starts a new attempt, up to ``RETRY_CAP`` retries
+per sample.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ara.core import (
     AraGame,
     AssignmentConstraint,
     GameError,
-    MarginalStrategy,
     MixedStrategyEstimate,
     PureStrategy,
     constraint_violations,
@@ -32,7 +32,8 @@ from ara.core import (
 from ara.marginal import MarginalSolution
 
 COMB_SUM_TOL = 1e-6
-DEFAULT_RETRY_CAP = 100
+# failed equality repairs tolerated per sample before ``SamplingFailure``
+RETRY_CAP = 100
 
 
 class Pe0StructureError(GameError):
@@ -44,10 +45,9 @@ class EqualityFixFailed(Exception):
 
 
 class SamplingFailure(Exception):
-    def __init__(self, failures: int, retry_cap: int):
+    def __init__(self, failures: int):
         self.failures = failures
-        self.retry_cap = retry_cap
-        super().__init__(f"equality repair failed {failures} times; retry cap {retry_cap} exhausted")
+        super().__init__(f"equality repair failed {failures} times; retry cap {RETRY_CAP} exhausted")
 
 
 class DomainFixer(Protocol):
@@ -138,21 +138,6 @@ def to_pe0(game: AraGame) -> Pe0Form:
     return Pe0Form(ext, tuple(equalities), tuple(carried), game, game.n)
 
 
-def comb_sample(x_m, S: AssignmentConstraint, rng: np.random.Generator) -> dict:
-    """Round the cells of one equality group up or down, preserving its sum.
-
-    Fractional parts are packed in ascending cell order into unit buckets;
-    a single uniform draw marks the same offset in every bucket and the
-    cell whose fraction covers the mark is rounded up.  Each cell keeps its
-    marginal value in expectation and the group sum is preserved exactly.
-    """
-    values = x_m.values if isinstance(x_m, MarginalStrategy) else np.asarray(x_m, dtype=float)
-    cells = S.sorted_cells()
-    vals = np.array([values[c] for c in cells])
-    rounded = _comb_round(vals, rng)
-    return {cell: int(v) for cell, v in zip(cells, rounded)}
-
-
 def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Floors, cumulative fractional parts and bucket count of one group;
     parts within 1e-7 of an integer count as integral."""
@@ -169,28 +154,21 @@ def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return floors.astype(np.int64), np.cumsum(frac), buckets
 
 
-def _comb_round(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    out, cum, buckets = _comb_prepare(vals)
-    if buckets == 0:
-        return out
-    z = rng.random()
-    marks = np.minimum(np.arange(buckets) + z, cum[-1] - 1e-12)
-    hits = np.searchsorted(cum, marks, side="right")
-    np.add.at(out, np.minimum(hits, len(out) - 1), 1)
-    return out
-
-
 class _CombSampler:
-    """Comb rounding of one fixed marginal over a whole equality partition,
-    with the same numbers as ``comb_sample`` applied group by group in
-    partition order.
+    """Comb rounding of one fixed marginal over a whole equality partition.
+
+    Within a group, the fractional parts are packed in ascending cell order
+    into unit buckets; one uniform draw marks the same offset in every
+    bucket, and the cell whose fraction covers a mark is rounded up.  Each
+    cell keeps its marginal value in expectation and the group sum is kept
+    exactly.
 
     Floors, cumulative fractions and bucket counts are computed once.  A
-    sample draws one uniform per group with fractional mass and finds every
-    mark's cell with one search over keys draw + 1j * cumulative fraction
-    (both parts exact): NumPy orders complex numbers by real, then imaginary
-    part, so the search stays within each group and compares the same floats
-    as the per-group search.
+    sample draws one uniform per group with fractional mass, in partition
+    order, and finds every mark's cell with one search over keys draw + 1j *
+    cumulative fraction (both parts exact): NumPy orders complex numbers by
+    real, then imaginary part, so the search stays within each group and
+    compares the same floats as a search group by group.
     """
 
     def __init__(self, pe0: Pe0Form, x: np.ndarray):
@@ -228,9 +206,9 @@ class _CombSampler:
 
 
 def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
-                       rng: np.random.Generator, retry_cap: int) -> tuple[np.ndarray, int]:
+                       rng: np.random.Generator) -> tuple[np.ndarray, int]:
     failures = 0
-    for _ in range(retry_cap + 1):
+    for _ in range(RETRY_CAP + 1):
         x = sampler.sample(rng)
         fixed = fixer.fix_inequalities(x, pe0, rng)
         if np.any(fixed > x):
@@ -248,17 +226,7 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
             raise GameError("fixers produced an invalid strategy: "
                             + "; ".join(map(str, bad)))
         return candidate, failures
-    raise SamplingFailure(failures, retry_cap)
-
-
-def sample_pure(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
-                rng: np.random.Generator, retry_cap: int = DEFAULT_RETRY_CAP) -> PureStrategy:
-    """Draw one valid pure strategy for the source game, resampling with
-    fresh randomness when equality repair fails.  ``ms`` is the marginal
-    solution of ``pe0.game``."""
-    sampler = _CombSampler(pe0, ms.x_m.values)
-    matrix, _ = _sample_with_stats(sampler, pe0, fixer, rng, retry_cap)
-    return PureStrategy(matrix)
+    raise SamplingFailure(failures)
 
 
 @dataclass(frozen=True)
@@ -269,19 +237,19 @@ class EstimateResult:
 
 
 def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
-                   rng: np.random.Generator, m: int,
-                   retry_cap: int = DEFAULT_RETRY_CAP) -> EstimateResult:
-    """Average m sampled pure strategies, drawn from the marginal solution
-    ``ms`` of ``pe0.game``, and evaluate the source game on the averaged
-    matrix."""
+                   rng: np.random.Generator, m: int) -> EstimateResult:
+    """Average m valid pure strategies of the source game, drawn from the
+    marginal solution ``ms`` of ``pe0.game``, and evaluate the source game
+    on the averaged matrix.  A sample whose equality repair fails is drawn
+    again with fresh randomness."""
     if m < 1:
         raise GameError("need at least one sample")
     sampler = _CombSampler(pe0, ms.x_m.values)
     samples = []
     failures = 0
     for _ in range(m):
-        matrix, f = _sample_with_stats(sampler, pe0, fixer, rng, retry_cap)
+        matrix, f = _sample_with_stats(sampler, pe0, fixer, rng)
         samples.append(PureStrategy(matrix))
         failures += f
-    est = MixedStrategyEstimate.from_samples(samples)
+    est = MixedStrategyEstimate(tuple(samples))
     return EstimateResult(est, game_value(pe0.source_game, est.mean), failures)

@@ -4,14 +4,46 @@
 toy with overlapping schedules; ``fig1c_tsg`` the two-resource screening
 toy whose middle team uses both resources, so both have genuinely crossing
 assignment constraints.
+
+``coverage``, ``utility``, ``violations`` and ``constraint_sum`` read one
+target, one pure strategy or one constraint through the package's compiled
+game, or loop over one constraint's cells.
 """
 
 import numpy as np
 import pytest
 
-from ara.core import AdversaryType, AraGame, AssignmentConstraint, Target
+from ara.core import (
+    AdversaryType,
+    AraGame,
+    AssignmentConstraint,
+    PureStrategy,
+    Target,
+    constraint_violations,
+)
 from ara.fams import FamsInstance, FlightSpec, Schedule
 from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance
+
+
+def coverage(game: AraGame, x, target_id: str) -> float:
+    """The weighted allocation mass on one target's cells."""
+    return float(game.compiled.coverages(x)[game.compiled.position(target_id)])
+
+
+def utility(game: AraGame, x, target_id: str) -> float:
+    """The defender's utility when one target is attacked."""
+    return float(game.compiled.utilities(x)[game.compiled.position(target_id)])
+
+
+def violations(game: AraGame, p) -> list:
+    """The constraints a pure strategy breaks; ``PureStrategy`` refuses
+    fractional and negative cells with a ``GameError``."""
+    return constraint_violations(game, PureStrategy(getattr(p, "values", p)).values)
+
+
+def constraint_sum(con: AssignmentConstraint, m) -> float:
+    """A constraint's weighted cell sum, cell by cell."""
+    return float(sum(con.coeff(c) * m[c] for c in con.cells))
 
 
 @pytest.fixture

@@ -107,7 +107,7 @@ class TestSolveCommand:
 
     def test_exact_on_wide_game_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
         path = self._wide_game_file(tmp_path)
-        monkeypatch.setattr(cli, "ENUM_CAP", 10)
+        monkeypatch.setattr(exact, "ENUM_CAP", 10)
         assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
         assert "truncated" in capsys.readouterr().err
 
@@ -226,6 +226,28 @@ class TestBenchCommand:
                                         "methods": [], "repetitions": 1}))
         assert main(["bench", "--config", str(cfg_path), "--out",
                      str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("{", "line 1"),
+        (json.dumps({"sizes": [2], "methods": ["rand"]}), "KeyError('family')"),
+        (json.dumps({"family": "fams", "sizes": 3, "methods": ["rand"]}), "not iterable"),
+        (json.dumps({"family": "fams", "sizes": [2], "methods": ["rand"],
+                     "base": {"planes": 2}}), "'planes'"),
+        (json.dumps({"family": "planes", "sizes": [2], "methods": ["rand"]}),
+         "unknown family 'planes'"),
+    ], ids=["missing-file", "bad-json", "no-family", "scalar-sizes", "unknown-base-key",
+            "unknown-family"])
+    def test_config_errors_are_usage_errors(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "bench.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ")
+        assert message in err
+        assert not out.exists()
 
 
 class TestReport:

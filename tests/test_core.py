@@ -12,14 +12,11 @@ from ara.core import (
     Target,
     check_implementability,
     constraint_violations,
-    coverage,
-    defender_utility,
     game_value,
-    is_valid_pure,
 )
 from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.tsg import encode_tsg
-from conftest import random_raw_game
+from conftest import constraint_sum, coverage, random_raw_game, utility, violations
 
 
 def single_target_game(u_def=-1.0, u_undef=-5.0, weight=1.0):
@@ -57,27 +54,26 @@ class TestCoverage:
         with pytest.raises(GameError, match="unknown target"):
             coverage(game, np.zeros((1, 2)), "nope")
 
-    def test_clamp_is_reporting_only(self):
+    def test_coverage_is_not_clamped(self):
         game = single_target_game()
         m = np.array([[1.0, 1.0]])
         assert coverage(game, m, "t") == pytest.approx(2.0)
-        assert coverage(game, m, "t", clamp=True) == 1.0
 
 
 class TestDefenderUtility:
     def test_undefended(self):
         game = single_target_game(-1.0, -5.0)
-        assert defender_utility(game, np.zeros((1, 2)), "t") == pytest.approx(-5.0)
+        assert utility(game, np.zeros((1, 2)), "t") == pytest.approx(-5.0)
 
     def test_fully_defended(self):
         game = single_target_game(-1.0, -5.0)
         m = np.array([[1.0, 0.0]])
-        assert defender_utility(game, m, "t") == pytest.approx(-1.0)
+        assert utility(game, m, "t") == pytest.approx(-1.0)
 
     def test_interpolation(self):
         game = single_target_game(-1.0, -9.0)
         m = np.array([[0.25, 0.0]])
-        assert defender_utility(game, m, "t") == pytest.approx(-7.0)
+        assert utility(game, m, "t") == pytest.approx(-7.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_in_coverage(self, seed):
@@ -86,7 +82,7 @@ class TestDefenderUtility:
         game = single_target_game(-1.0, u_undef)
         last = None
         for c in np.linspace(0, 1, 7):
-            val = defender_utility(game, np.array([[c, 0.0]]), "t")
+            val = utility(game, np.array([[c, 0.0]]), "t")
             if last is not None:
                 assert val >= last - 1e-12
             last = val
@@ -120,7 +116,7 @@ class TestGameValue:
         for cat in fig1c_tsg.categories:
             by_risk.setdefault(cat.risk, []).append(cat.id)
         expected = sum(
-            r.probability * min(defender_utility(game, m, cid) for cid in by_risk[r.id])
+            r.probability * min(utility(game, m, cid) for cid in by_risk[r.id])
             for r in fig1c_tsg.risk_levels)
         assert game_value(game, m) == pytest.approx(expected)
 
@@ -142,8 +138,8 @@ class TestGameValue:
         for _ in range(20):
             m = rng.random((1, 2)) * 0.5
             v = game_value(game, m)
-            assert v <= defender_utility(game, m, "a") + 1e-12
-            assert v <= defender_utility(game, m, "b") + 1e-12
+            assert v <= utility(game, m, "a") + 1e-12
+            assert v <= utility(game, m, "b") + 1e-12
 
 
 class TestValidPure:
@@ -151,9 +147,8 @@ class TestValidPure:
         game = encode_tsg(fig1c_tsg)
         m = np.zeros((3, 3))
         m[0, 0] = 0.5
-        ok, violations = is_valid_pure(game, m)
-        assert not ok
-        assert "integrality" in violations[0].constraint
+        with pytest.raises(GameError, match="fractional"):
+            violations(game, m)
 
     def test_capacity_violation_named_with_sum(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
@@ -161,9 +156,7 @@ class TestValidPure:
         m = np.array([[2, 3, 0],
                       [0, 0, 3],
                       [0, 0, 12]])
-        ok, violations = is_valid_pure(game, m)
-        assert not ok
-        named = {v.constraint: v for v in violations}
+        named = {v.constraint: v for v in violations(game, m)}
         assert "capacity xray" in named
         assert named["capacity xray"].achieved == 8
 
@@ -172,16 +165,14 @@ class TestValidPure:
         m = np.array([[2, 3, 0],
                       [0, 0, 2],
                       [0, 0, 13]])
-        ok, violations = is_valid_pure(game, m)
-        assert ok and not violations
+        assert violations(game, m) == []
 
     def test_pure_strategies_live_in_the_marginal_polytope(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
         m = np.zeros((3, 3), dtype=np.int64)
         m[0, 0] = 1
         m[1, 2] = 1
-        ok, _ = is_valid_pure(game, m)
-        assert ok
+        assert violations(game, m) == []
         assert constraint_violations(game, m.astype(float), tol=1e-7) == []
 
 
@@ -212,8 +203,8 @@ class TestCompiledGame:
         game = random_raw_game(rng)
         for _ in range(10):
             m = rng.integers(0, 4, size=(game.k, game.n))
-            expected = [(c.name(), c.value(m)) for c in game.constraints
-                        if not c.lower <= c.value(m) <= c.upper]
+            expected = [(c.name(), constraint_sum(c, m)) for c in game.constraints
+                        if not c.lower <= constraint_sum(c, m) <= c.upper]
             got = [(v.constraint, v.achieved) for v in constraint_violations(game, m)]
             assert got == expected
 
@@ -351,15 +342,16 @@ class TestTypes:
 
     def test_estimate_mean_checked(self):
         s = PureStrategy(np.array([[1]]))
-        with pytest.raises(GameError, match="mean"):
-            MixedStrategyEstimate((s,), np.array([[0.5]]))
-        est = MixedStrategyEstimate.from_samples([s, PureStrategy(np.array([[0]]))])
+        est = MixedStrategyEstimate([s, PureStrategy(np.array([[0]]))])
+        assert len(est.samples) == 2
         assert est.mean[0, 0] == pytest.approx(0.5)
+        with pytest.raises(ValueError):
+            est.mean[0, 0] = 1.0
         with pytest.raises(GameError, match="at least one sample"):
-            MixedStrategyEstimate.from_samples([])
+            MixedStrategyEstimate([])
 
     def test_estimate_mean_equals_stacked_mean(self):
         rng = np.random.default_rng(3)
         samples = [PureStrategy(rng.integers(0, 4, size=(5, 7))) for _ in range(37)]
-        est = MixedStrategyEstimate.from_samples(samples)
+        est = MixedStrategyEstimate(samples)
         assert np.array_equal(est.mean, np.mean([s.values for s in samples], axis=0))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ara import exact
-from ara.core import AraGame, AssignmentConstraint, GameError, PureStrategy, Target, game_value, is_valid_pure
+from ara.core import AraGame, AssignmentConstraint, GameError, PureStrategy, Target, game_value
 from ara.exact import enumerate_pure, exact_maximin
 from ara.fams import encode_fams
 from ara.tsg import encode_tsg
+from conftest import violations
 
 
 def test_single_cell_binary():
@@ -24,8 +25,7 @@ def test_enumeration_respects_flight_constraints(fig1b_fams):
     out = enumerate_pure(game)
     assert not out.truncated
     for s in out.strategies:
-        ok, _ = is_valid_pure(game, s)
-        assert ok
+        assert violations(game, s) == []
     # no duplicates
     seen = {s.values.tobytes() for s in out.strategies}
     assert len(seen) == len(out.strategies)
@@ -58,26 +58,28 @@ def test_tsg_count_matches_hand_enumeration(fig1c_tsg):
     assert len(out.strategies) == count
 
 
-def test_truncation_flag():
+def test_truncation_flag(monkeypatch):
+    monkeypatch.setattr(exact, "ENUM_CAP", 3)
     game_cells = frozenset({(0, j) for j in range(4)})
     con = AssignmentConstraint(game_cells, 0, 3)
     t = Target("t", game_cells, {c: 0.25 for c in game_cells}, 0.0, -1.0)
     game = AraGame(1, 4, (con,), (t,))
-    out = enumerate_pure(game, cap=3)
+    out = enumerate_pure(game)
     assert out.truncated
     with pytest.raises(GameError, match="truncated"):
         exact_maximin(game, out)
 
 
-def test_search_depth_is_not_bounded_by_recursion_limit():
+def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
     # the search goes one level deeper per cell
+    monkeypatch.setattr(exact, "ENUM_CAP", 10)
     cells = frozenset((0, j) for j in range(1500))
     t = Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0)
     game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),), (t,))
-    out = enumerate_pure(game, cap=10)
+    out = enumerate_pure(game)
     assert out.truncated
     assert len(out.strategies) == 10
-    assert all(is_valid_pure(game, s)[0] for s in out.strategies)
+    assert all(violations(game, s) == [] for s in out.strategies)
 
 
 def test_enumeration_past_the_byte_budget_is_refused(monkeypatch):
@@ -134,4 +136,4 @@ def test_duplicating_a_strategy_changes_nothing(fig1b_fams):
 def test_support_size_bound(fig1b_fams, fig1c_tsg):
     for game in (encode_fams(fig1b_fams), encode_tsg(fig1c_tsg)):
         sol = exact_maximin(game, enumerate_pure(game))
-        assert len(sol.support()) <= game.k * game.n + 1
+        assert np.count_nonzero(sol.weights > 1e-9) <= game.k * game.n + 1

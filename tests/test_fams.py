@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from ara import exact as exact_mod
 from ara import fams
-from ara.core import GameError, coverage, game_value, is_valid_pure
+from ara.core import GameError, game_value
 from ara.exact import MaximinSolution, enumerate_pure, exact_maximin
 from ara.fams import (
     DbrNodeCapError,
@@ -19,7 +20,7 @@ from ara.fams import (
 from ara.generators import GenConfig, gen_fams
 from ara.marginal import solve_marginal
 from ara.sampling import to_pe0
-from conftest import random_toy_fams, with_random_forbidden
+from conftest import constraint_sum, coverage, random_toy_fams, violations, with_random_forbidden
 
 
 class TestEncode:
@@ -52,15 +53,13 @@ class TestEncode:
         game = encode_fams(inst)
         p = np.zeros((2, 1), dtype=np.int64)
         p[1, 0] = 1
-        ok, violations = is_valid_pure(game, p)
-        assert not ok
-        assert any("forbidden" in v.constraint for v in violations)
+        assert any("forbidden" in v.constraint for v in violations(game, p))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_enumerated_coverage_below_one(self, seed):
         inst = random_toy_fams(np.random.default_rng(300 + seed))
         game = encode_fams(inst)
-        for s in enumerate_pure(game, cap=100_000).strategies:
+        for s in enumerate_pure(game).strategies:
             for f in inst.flights:
                 assert coverage(game, s, f.id) <= 1.0
 
@@ -137,8 +136,7 @@ class TestFixer:
         # lowest schedule id wins, then the rest settle without random picks
         out = FamsFixer().fix_inequalities(x, pe0, np.random.default_rng(2))
         assert out[:, 0].sum() == 0
-        ok, _ = is_valid_pure(game, np.hstack([out[:, :3], np.zeros((3, 0), dtype=np.int64)])
-                              if False else out[:, :3])
+        assert violations(game, out[:, :3]) == []
         for f in ("f0", "f1", "f2"):
             assert coverage(game, out[:, :3], f) <= 1.0
 
@@ -212,9 +210,8 @@ class TestFixer:
         out = fixer.fix_equalities(mid, pe0, np.random.default_rng(3))
         assert np.all(out >= mid)
         for con in pe0.equality_partition:
-            assert con.value(out) == con.lower
-        ok, violations = is_valid_pure(game, out[:, :3])
-        assert ok, violations
+            assert constraint_sum(con, out) == con.lower
+        assert violations(game, out[:, :3]) == []
 
 
 class TestDbr:
@@ -229,8 +226,7 @@ class TestDbr:
     def test_fig1b_matches_enumeration(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
         best = fams_dbr(fig1b_fams, np.ones(3))
-        ok, _ = is_valid_pure(game, best)
-        assert ok
+        assert violations(game, best) == []
         brute = max(enumerate_pure(game).strategies, key=lambda s: s.values.sum())
         assert best.values.sum() == brute.values.sum()
 
@@ -243,9 +239,10 @@ class TestDbr:
         best = fams_dbr(inst, [1.0, 2.0])
         assert best.values[0, 0] == 1 and best.values[0, 1] == 0
 
-    def test_node_cap(self, fig1b_fams):
+    def test_node_cap(self, fig1b_fams, monkeypatch):
+        monkeypatch.setattr(fams, "NODE_CAP", 2)
         with pytest.raises(DbrNodeCapError, match="shrink"):
-            fams_dbr(fig1b_fams, np.ones(3), node_cap=2)
+            fams_dbr(fig1b_fams, np.ones(3))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_on_random_weights(self, seed):
@@ -254,8 +251,7 @@ class TestDbr:
         game = encode_fams(inst)
         w = rng.uniform(0.1, 2.0, size=len(inst.schedules))
         best = fams_dbr(inst, w)
-        ok, _ = is_valid_pure(game, best)
-        assert ok
+        assert violations(game, best) == []
         brute = max(float(s.values.sum(axis=0) @ w) for s in enumerate_pure(game).strategies)
         assert float(best.values.sum(axis=0) @ w) == pytest.approx(brute, abs=1e-9)
 
@@ -298,9 +294,13 @@ class TestDbr:
 
 
 class TestColumnGeneration:
+    @pytest.fixture(autouse=True)
+    def tight_tolerance(self, monkeypatch):
+        monkeypatch.setattr(fams, "CG_TOL", 1e-8)
+
     def test_fig1b_matches_exact(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
-        cg = fams_column_generation(fig1b_fams, tolerance=1e-8)
+        cg = fams_column_generation(fig1b_fams)
         exact = exact_maximin(game, enumerate_pure(game))
         assert cg.value == pytest.approx(exact.value, abs=1e-6)
 
@@ -310,7 +310,7 @@ class TestColumnGeneration:
             1,
             tuple(Schedule(f"s{j}", frozenset({f"f{j}"})) for j in range(n)),
             tuple(FlightSpec(f"f{j}", -1.0, -5.0) for j in range(n)))
-        cg = fams_column_generation(inst, tolerance=1e-8)
+        cg = fams_column_generation(inst)
         expected = (1 / n) * -1.0 + (1 - 1 / n) * -5.0
         assert cg.value == pytest.approx(expected, abs=1e-6)
 
@@ -320,29 +320,31 @@ class TestColumnGeneration:
             2,
             tuple(Schedule(f"s{j}", frozenset({f"f{j}"})) for j in range(3)),
             tuple(FlightSpec(f"f{j}", -1.0, -float(3 + 2 * j)) for j in range(3)))
-        cg = fams_column_generation(inst, tolerance=1e-8)
+        cg = fams_column_generation(inst)
         ms = solve_marginal(encode_fams(inst))
         assert cg.value == pytest.approx(ms.upper_bound, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_cg_equals_enumeration_and_below_marginal(self, seed):
+    def test_cg_equals_enumeration_and_below_marginal(self, seed, monkeypatch):
+        monkeypatch.setattr(exact_mod, "ENUM_CAP", 300_000)
         rng = np.random.default_rng(500 + seed)
         inst = random_toy_fams(rng)
         game = encode_fams(inst)
-        cg = fams_column_generation(inst, tolerance=1e-8)
-        exact = exact_maximin(game, enumerate_pure(game, cap=300_000))
+        cg = fams_column_generation(inst)
+        exact = exact_maximin(game, enumerate_pure(game))
         ms = solve_marginal(game)
         assert cg.value == pytest.approx(exact.value, abs=1e-5)
         assert cg.value <= ms.upper_bound + 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_cg_with_forbidden_pairs_equals_enumeration(self, seed):
+    def test_cg_with_forbidden_pairs_equals_enumeration(self, seed, monkeypatch):
+        monkeypatch.setattr(exact_mod, "ENUM_CAP", 300_000)
         rng = np.random.default_rng(700 + seed)
         inst = with_random_forbidden(random_toy_fams(rng), rng)
         assert inst.forbidden
         game = encode_fams(inst)
-        cg = fams_column_generation(inst, tolerance=1e-8)
-        exact = exact_maximin(game, enumerate_pure(game, cap=300_000))
+        cg = fams_column_generation(inst)
+        exact = exact_maximin(game, enumerate_pure(game))
         ms = solve_marginal(game)
         assert cg.value == pytest.approx(exact.value, abs=1e-5)
         assert cg.value <= ms.upper_bound + 1e-6
@@ -350,7 +352,7 @@ class TestColumnGeneration:
     @pytest.mark.parametrize("seed", range(6))
     def test_master_is_the_exact_maximin_lp(self, seed):
         inst = random_toy_fams(np.random.default_rng(500 + seed))
-        cg = fams_column_generation(inst, tolerance=1e-8)
+        cg = fams_column_generation(inst)
         exact = exact_maximin(encode_fams(inst), cg.strategies)
         assert exact.value == cg.value
         assert np.array_equal(exact.weights, cg.weights)
@@ -364,10 +366,10 @@ class TestColumnGeneration:
 
         monkeypatch.setattr(fams, "exact_maximin", shifted)
         with pytest.raises(GameError, match="disagrees with the cold solve"):
-            fams_column_generation(fig1b_fams, tolerance=1e-8)
+            fams_column_generation(fig1b_fams)
 
     def test_mixed_strategy_is_consistent(self, fig1b_fams):
-        cg = fams_column_generation(fig1b_fams, tolerance=1e-8)
+        cg = fams_column_generation(fig1b_fams)
         game = encode_fams(fig1b_fams)
         mean = sum(w * s.values for w, s in zip(cg.weights, cg.strategies))
         assert game_value(game, mean) == pytest.approx(cg.value, abs=1e-6)

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-top-level function or class is used somewhere in the package, and no module
-imports scipy.
+top-level function or class is used somewhere in the package, every
+exported function is called from another module of the package, and no
+module imports scipy.
 
 No linter runs on this repository, so this walks the syntax trees instead.
 ``__init__.py`` is left out of the import check: it imports names to
@@ -86,6 +87,44 @@ def test_checker_sees_unreferenced_helpers():
              "def public():\n    return _typed()\n",
     }
     assert unreferenced_private(sources) == ["a._Dead", "a._recursive"]
+
+
+def unused_exports(sources: dict[str, str]) -> list[str]:
+    """Functions in ``__init__``'s ``__all__`` that no module of ``sources``
+    (module name -> text) refers to, besides ``__init__`` and the module
+    that defines them."""
+    init = ast.parse(sources["__init__"])
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
+    home = {alias.name: node.module.rsplit(".", 1)[-1] for node in init.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {name: ast.parse(text) for name, text in sources.items() if name != "__init__"}
+    out = []
+    for name in exported:
+        defined = trees[home[name]].body
+        if not any(isinstance(node, ast.FunctionDef) and node.name == name for node in defined):
+            continue  # a class or a constant
+        if not any(_references(tree)[name] for module, tree in trees.items()
+                   if module != home[name]):
+            out.append(f"{home[name]}.{name}")
+    return sorted(out)
+
+
+def test_every_exported_function_has_a_caller():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_exports(sources) == []
+
+
+def test_checker_sees_unused_exports():
+    sources = {
+        "__init__": "from pkg.a import Kind, called, planted\nfrom pkg.b import run\n"
+                    "__all__ = ['Kind', 'called', 'planted', 'run']\n",
+        "a": "class Kind:\n    pass\n\n"
+             "def called():\n    return planted()\n\n"
+             "def planted():\n    return 1\n",
+        "b": "from pkg.a import called\n\ndef run():\n    return called()\n",
+    }
+    assert unused_exports(sources) == ["a.planted", "b.run"]
 
 
 def imported_modules(source: str) -> set[str]:

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ara import lp as lp_mod
+from ara import marginal
+from ara.generators import GenConfig, gen_tsg
 from ara.lp import LinearProgram, LpError, solve_lp
+from ara.tsg import encode_tsg
 
 
 def test_single_variable():
@@ -78,12 +81,13 @@ def test_non_finite_lower_bound_is_refused(bound):
         solve_lp(lp)
 
 
-def test_iteration_cap_is_named():
+def test_iteration_cap_is_named(monkeypatch):
     lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
     lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0)
     lp.add_row({0: 2.0, 1: 1.0}, "<=", 4.0)
-    with pytest.raises(LpError, match="cap of 1"):
-        solve_lp(lp, iter_cap=1)
+    monkeypatch.setattr(lp_mod, "PIVOT_CAP_FACTOR", 0)
+    with pytest.raises(LpError, match="cap of 0 pivots"):
+        solve_lp(lp)
 
 
 def test_resolve_is_bit_identical():
@@ -204,7 +208,7 @@ def _dense(lp):
     return A
 
 
-def _highs(lp):
+def _highs(lp, method="highs", options=None):
     from scipy.optimize import linprog
     A = _dense(lp)
     rel = np.array([row.relation for row in lp.rows])
@@ -214,9 +218,25 @@ def _highs(lp):
                   b_ub=np.concatenate([rhs[rel == "<="], -rhs[rel == ">="]]) if len(ub) else None,
                   A_eq=A[rel == "="] if np.any(rel == "=") else None,
                   b_eq=rhs[rel == "="] if np.any(rel == "=") else None,
-                  bounds=[(lo, None) for lo in lp.lower], method="highs")
+                  bounds=[(lo, None) for lo in lp.lower], method=method, options=options)
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, (-res.fun if status == "optimal" else None)
+
+
+def test_marginal_lp_reaches_the_optimum(monkeypatch):
+    # the screening marginal LP whose last reduced cost, 6.8e-8, once passed
+    # for optimal: it stopped 3.7e-6 (relative) short of the optimum
+    programs = []
+    monkeypatch.setattr(marginal, "solve_lp", lambda prog: programs.append(prog) or solve_lp(prog))
+    inst = gen_tsg(GenConfig(seed=11026, family="tsg", flights=40, risk_levels=2,
+                             resource_types=3, team_types=3))
+    marginal.solve_marginal(encode_tsg(inst))
+    (prog,) = programs
+    ours = solve_lp(prog)
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    status, objective = _highs(prog, method="highs-ds", options=tight)
+    assert ours.status == status == "optimal"
+    assert ours.objective_value == pytest.approx(objective, rel=1e-9, abs=0)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

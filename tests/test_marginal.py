@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from ara import marginal
+from ara import exact, marginal
 from ara.core import AraGame, AssignmentConstraint, Target, constraint_violations
 from ara.exact import enumerate_pure, exact_maximin
-from ara.fams import FamsInstance, encode_fams
+from ara.fams import FamsFixer, FamsInstance, encode_fams
 from ara.generators import GenConfig, gen_fams
 from ara.marginal import GameInfeasibleError, solve_marginal
-from ara.sampling import to_pe0
-from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance, encode_tsg
+from ara.sampling import estimate_mixed, to_pe0
+from ara.tsg import (
+    CategorySpec,
+    ResourceSpec,
+    RiskLevel,
+    TeamSpec,
+    TsgFixer,
+    TsgInstance,
+    encode_tsg,
+)
 from conftest import random_raw_game, random_toy_fams, random_toy_tsg
 
 
@@ -78,15 +86,22 @@ def test_infeasible_reports_constraints():
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_dominance_on_random_toys(seed):
+def test_dominance_on_random_toys(seed, monkeypatch):
+    """rand value <= exact value <= marginal bound: the sampled mix is a
+    mixed strategy the defender can play."""
+    monkeypatch.setattr(exact, "ENUM_CAP", 200_000)
     rng = np.random.default_rng(1000 + seed)
     inst = random_toy_fams(rng) if seed % 2 else random_toy_tsg(rng)
     game = encode_fams(inst) if seed % 2 else encode_tsg(inst)
     ms = solve_marginal(game)
-    strategies = enumerate_pure(game, cap=200_000)
+    strategies = enumerate_pure(game)
     assert not strategies.truncated
-    exact = exact_maximin(game, strategies)
-    assert ms.upper_bound >= exact.value - 1e-6
+    exact_value = exact_maximin(game, strategies).value
+    assert ms.upper_bound >= exact_value - 1e-6
+    pe0 = to_pe0(game)
+    fixer = FamsFixer() if seed % 2 else TsgFixer(inst)
+    rand = estimate_mixed(solve_marginal(pe0.game), pe0, fixer, np.random.default_rng(seed), m=200)
+    assert rand.value <= exact_value + 1e-9
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target, game_value, is_valid_pure
+from ara import sampling
+from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target, game_value
 from ara.fams import FamsFixer, encode_fams
 from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.marginal import MarginalSolution, solve_marginal
@@ -13,13 +14,11 @@ from ara.sampling import (
     Pe0StructureError,
     SamplingFailure,
     _CombSampler,
-    _comb_round,
-    comb_sample,
     estimate_mixed,
-    sample_pure,
     to_pe0,
 )
 from ara.tsg import TsgFixer, encode_tsg
+from conftest import constraint_sum, violations
 
 
 class TestToPe0:
@@ -65,15 +64,49 @@ class TestToPe0:
             to_pe0(game)
 
 
+def comb_sample(x, con, rng):
+    """Comb rounding of one equality group, cell by cell: the reference that
+    ``_CombSampler`` must match.  Fractional parts (those within 1e-7 of an
+    integer count as integral) are packed in ascending cell order into unit
+    buckets; one uniform marks the same offset in every bucket, and the cell
+    whose fraction covers a mark is rounded up."""
+    cells = con.sorted_cells()
+    vals = np.array([x[c] for c in cells])
+    floors = np.floor(vals)
+    frac = vals - floors
+    snap = frac > 1.0 - 1e-7
+    floors[snap] += 1.0
+    frac[snap] = 0.0
+    frac[frac < 1e-7] = 0.0
+    buckets = int(round(frac.sum()))
+    out = floors.astype(np.int64)
+    if buckets:
+        cum = np.cumsum(frac)
+        marks = np.minimum(np.arange(buckets) + rng.random(), cum[-1] - 1e-12)
+        hits = np.searchsorted(cum, marks, side="right")
+        np.add.at(out, np.minimum(hits, len(out) - 1), 1)
+    return dict(zip(cells, out.tolist()))
+
+
+def one_group_sampler(x, con=None):
+    """``_CombSampler`` over a single equality group: ``con``, or the one
+    row of ``x`` with its rounded sum."""
+    if con is None:
+        total = int(round(x.sum()))
+        con = AssignmentConstraint(frozenset((0, j) for j in range(x.shape[1])), total, total)
+    game = AraGame(*x.shape, (con,), (), validate_weights=False)
+    return _CombSampler(Pe0Form(game, (con,), (), game, x.shape[1]), x)
+
+
 class TestCombSample:
     def test_half_up_half_down(self):
         con = AssignmentConstraint(frozenset({(0, 0), (1, 0)}), 2, 2, label="col")
-        x = np.array([[0.5], [1.5]])
+        sampler = one_group_sampler(np.array([[0.5], [1.5]]), con)
         counts = {(0, 2): 0, (1, 1): 0}
         rng = np.random.default_rng(0)
         for _ in range(4000):
-            out = comb_sample(x, con, rng)
-            key = (out[(0, 0)], out[(1, 0)])
+            out = sampler.sample(rng)
+            key = (out[0, 0], out[1, 0])
             counts[key] += 1
             assert sum(key) == 2
         assert counts[(0, 2)] == pytest.approx(2000, abs=150)
@@ -81,32 +114,32 @@ class TestCombSample:
 
     def test_integral_column_unchanged(self):
         con = AssignmentConstraint(frozenset({(0, 0), (1, 0)}), 2, 2)
-        out = comb_sample(np.array([[0.0], [2.0]]), con, np.random.default_rng(1))
-        assert out == {(0, 0): 0, (1, 0): 2}
+        out = one_group_sampler(np.array([[0.0], [2.0]]), con).sample(np.random.default_rng(1))
+        assert out.tolist() == [[0], [2]]
 
     def test_three_cell_distribution(self):
         vals = np.array([0.3, 0.3, 0.4])
+        sampler = one_group_sampler(vals[None, :])
         rng = np.random.default_rng(7)
         n = 100_000
         totals = np.zeros(3)
         for _ in range(n):
-            out = _comb_round(vals, rng)
+            out = sampler.sample(rng)[0]
             assert out.sum() == 1
             totals += out
         means = totals / n
         assert np.all(np.abs(means - vals) < 0.01)
 
     def test_non_integral_mass_is_an_error(self):
-        vals = np.array([0.4, 0.3])
         with pytest.raises(GameError, match="not integral"):
-            _comb_round(vals, np.random.default_rng(0))
+            one_group_sampler(np.array([[0.4, 0.3]]))
 
     def test_rounds_every_cell_up_or_down(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             raw = rng.random(5) * 3
             raw[-1] = np.ceil(raw[:-1].sum() + raw[-1]) - raw[:-1].sum()
-            out = _comb_round(raw, rng)
+            out = one_group_sampler(raw[None, :]).sample(rng)[0]
             assert np.all((out == np.floor(raw + 1e-9)) | (out == np.ceil(raw - 1e-9)))
             assert out.sum() == pytest.approx(raw.sum())
 
@@ -196,22 +229,18 @@ class TestSamplePure:
         game = encode_fams(fig1b_fams)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            p = sample_pure(ms, pe0, FamsFixer(), rng)
-            ok, violations = is_valid_pure(game, p)
-            assert ok, violations
+        res = estimate_mixed(ms, pe0, FamsFixer(), np.random.default_rng(42), m=300)
+        for p in res.estimate.samples:
+            assert violations(game, p) == []
 
     def test_fig1c_sampling_is_valid(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
         fixer = TsgFixer(fig1c_tsg)
-        rng = np.random.default_rng(43)
-        for _ in range(300):
-            p = sample_pure(ms, pe0, fixer, rng)
-            ok, violations = is_valid_pure(game, p)
-            assert ok, violations
+        res = estimate_mixed(ms, pe0, fixer, np.random.default_rng(43), m=300)
+        for p in res.estimate.samples:
+            assert violations(game, p) == []
 
     def test_integral_marginal_needs_no_fixing(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
@@ -231,10 +260,10 @@ class TestSamplePure:
             def fix_equalities(self, x, pe0, rng):
                 return x
 
-        p = sample_pure(ms, pe0, SpyFixer(), np.random.default_rng(0))
-        assert np.array_equal(p.values, integral.astype(np.int64))
+        res = estimate_mixed(ms, pe0, SpyFixer(), np.random.default_rng(0), m=1)
+        assert np.array_equal(res.estimate.samples[0].values, integral.astype(np.int64))
 
-    def test_retry_cap_failure_counts(self, fig1c_tsg):
+    def test_retry_cap_failure_counts(self, fig1c_tsg, monkeypatch):
         game = encode_tsg(fig1c_tsg)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
@@ -246,8 +275,9 @@ class TestSamplePure:
             def fix_equalities(self, x, pe0, rng):
                 raise EqualityFixFailed("nope")
 
-        with pytest.raises(SamplingFailure) as err:
-            sample_pure(ms, pe0, AlwaysFails(), np.random.default_rng(0), retry_cap=7)
+        monkeypatch.setattr(sampling, "RETRY_CAP", 7)
+        with pytest.raises(SamplingFailure, match="retry cap 7") as err:
+            estimate_mixed(ms, pe0, AlwaysFails(), np.random.default_rng(0), m=1)
         assert err.value.failures == 8
 
     def test_fixer_direction_enforced(self, fig1c_tsg):
@@ -263,7 +293,7 @@ class TestSamplePure:
                 return x
 
         with pytest.raises(GameError, match="increased"):
-            sample_pure(ms, pe0, Increases(), np.random.default_rng(0))
+            estimate_mixed(ms, pe0, Increases(), np.random.default_rng(0), m=1)
 
 
 class TestMarginalPreservation:
@@ -290,7 +320,7 @@ class TestMarginalPreservation:
         for _ in range(500):
             s = sampler.sample(rng)
             for con in pe0.equality_partition:
-                assert con.value(s) == con.lower
+                assert constraint_sum(con, s) == con.lower
 
 
 class TestEstimateMixed:
@@ -325,5 +355,3 @@ class TestEstimateMixed:
         ms = solve_marginal(game)
         with pytest.raises(GameError, match="marginal shape"):
             estimate_mixed(ms, pe0, FamsFixer(), np.random.default_rng(0), m=1)
-        with pytest.raises(GameError, match="marginal shape"):
-            sample_pure(ms, pe0, FamsFixer(), np.random.default_rng(0))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ara.core import GameError, coverage, is_valid_pure
+from ara.core import GameError
 from ara.exact import enumerate_pure
 from ara.marginal import solve_marginal
-from ara.sampling import EqualityFixFailed, sample_pure, to_pe0
+from ara.sampling import EqualityFixFailed, estimate_mixed, to_pe0
 from ara.tsg import (
     CategorySpec,
     ResourceSpec,
@@ -15,7 +15,7 @@ from ara.tsg import (
     encode_tsg,
     tsg_detection_ratio,
 )
-from conftest import random_raw_game, random_toy_tsg
+from conftest import coverage, random_raw_game, random_toy_tsg, violations
 
 
 class TestEncode:
@@ -44,7 +44,7 @@ class TestEncode:
     def test_weights_keep_coverage_below_one(self, seed):
         inst = random_toy_tsg(np.random.default_rng(600 + seed))
         game = encode_tsg(inst)
-        for s in enumerate_pure(game, cap=100_000).strategies:
+        for s in enumerate_pure(game).strategies:
             for c in inst.categories:
                 assert coverage(game, s, c.id) <= 1.0 + 1e-12
 
@@ -58,15 +58,13 @@ class TestEncode:
         cap = next(c for c in game.constraints if c.name() == "capacity r")
         assert cap.coeff((0, 0)) == 2
         m = np.full((1, 1), 2, dtype=np.int64)
-        ok, _ = is_valid_pure(game, m)
-        assert ok  # 2 units x 2 draws = 4 = capacity
+        assert violations(game, m) == []  # 2 units x 2 draws = 4 = capacity
         inst_tight = TsgInstance(
             resources=(ResourceSpec("r", 3),),
             teams=(TeamSpec("t", ("r", "r"), 0.5),),
             categories=(CategorySpec("c", "risk", "f", 2, -1.0, -3.0),),
             risk_levels=(RiskLevel("risk", 1.0),))
-        ok, violations = is_valid_pure(encode_tsg(inst_tight), m)
-        assert not ok and violations[0].achieved == 4
+        assert [v.achieved for v in violations(encode_tsg(inst_tight), m)] == [4]
 
 
 class TestFixInequalities:
@@ -301,8 +299,7 @@ class TestDetectionRatio:
         ms = solve_marginal(pe0.game)
         rng = np.random.default_rng(77)
         fixer = TsgFixer(fig1c_tsg)
-        for _ in range(100):
-            p = sample_pure(ms, pe0, fixer, rng)
+        for p in estimate_mixed(ms, pe0, fixer, rng, m=100).estimate.samples:
             res = tsg_detection_ratio(ms.x_m.values, p.values, game)
             assert res.min_ratio > 0
             for t in game.targets:
@@ -333,7 +330,5 @@ class TestPipelineValidity:
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
         fixer = TsgFixer(inst)
-        for _ in range(100):
-            p = sample_pure(ms, pe0, fixer, rng)
-            ok, violations = is_valid_pure(game, p)
-            assert ok, violations
+        for p in estimate_mixed(ms, pe0, fixer, rng, m=100).estimate.samples:
+            assert violations(game, p) == []
