@@ -23,6 +23,7 @@ from ara.jsonio import (
     fams_to_json,
     instance_digest,
     load_instance,
+    parse_instance,
     read_json,
     tsg_to_json,
 )
@@ -111,10 +112,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    family, inst = load_instance(args.instance)
-    digest = instance_digest(read_json(args.instance))
+    data = read_json(args.instance)
+    family, inst = parse_instance(data)
     report = run_method(family, inst, args.method, args.seed, samples=args.samples,
-                        cutoff_s=args.cutoff_s, digest=digest)
+                        cutoff_s=args.cutoff_s, digest=instance_digest(data))
     if args.out:
         report.write(args.out)
     print(f"{args.method}: value={report.value:.6f} upper_bound={report.upper_bound:.6f} "

@@ -165,7 +165,10 @@ class CompiledGame:
     a segment in the iteration order of the constraint's cells or the
     target's weights.  ``np.bincount`` adds in entry order, so segment sums
     equal the loops over the game objects bit for bit; an empty segment (a
-    target with no cells) sums to zero.
+    target with no cells) sums to zero.  Constraint sums are the exception:
+    they run cell by cell over a matrix's nonzero cells (``cell_constraints``),
+    which is exact for integer strategies and may differ from the game-order
+    sum by rounding for real ones.
     """
 
     def __init__(self, game: AraGame):
@@ -193,6 +196,63 @@ class CompiledGame:
         """T x n incidence: 1 where a target weights some cell of the column."""
         out = np.zeros((len(self.target_index), self.shape[1]), dtype=np.int64)
         out[self.tgt_seg, self.tgt_cell % self.shape[1]] = 1
+        return out
+
+    @cached_property
+    def column_targets(self) -> tuple[tuple[int, ...], ...]:
+        """Per column, the targets that weight some cell of it, ascending."""
+        return tuple(tuple(np.flatnonzero(col).tolist()) for col in self.target_columns.T)
+
+    @cached_property
+    def target_rank(self) -> tuple[int, ...]:
+        """Per target, the position of its id in sorted id order."""
+        rank = [0] * len(self.target_index)
+        for pos, tid in enumerate(sorted(self.target_index)):
+            rank[self.target_index[tid]] = pos
+        return tuple(rank)
+
+    @cached_property
+    def cell_constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraint entries cell-major (CSR): ``order[ptr[c]:ptr[c + 1]]``
+        are the positions of cell c's entries in ``con_cell``, ascending.
+        Both are int32, to keep this second index of the entries small."""
+        order = np.argsort(self.con_cell, kind="stable").astype(np.int32)
+        ptr = np.zeros(self.shape[0] * self.shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.con_cell, minlength=len(ptr) - 1), out=ptr[1:])
+        return ptr, order
+
+    def constraint_sums(self, matrices) -> np.ndarray:
+        """Every constraint's sum in each matrix, shape (len(matrices), C),
+        added over each matrix's nonzero cells only."""
+        ptr, order = self.cell_constraints
+        cells, vals = [], []
+        for x in matrices:
+            x = _values(x)
+            if x.shape != self.shape:
+                raise GameError(f"strategy shape {x.shape} does not match {self.shape}")
+            flat = x.ravel()
+            nz = np.flatnonzero(flat)
+            cells.append(nz)
+            vals.append(flat[nz])
+        rows, count = len(cells), len(self.names)
+        owner = np.repeat(np.arange(rows) * count, [len(c) for c in cells])
+        cells = np.concatenate(cells)
+        start = ptr[cells]
+        lens = ptr[cells + 1] - start
+        # entry positions of all those cells, run by run
+        entry = order[np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+        weights = np.repeat(np.concatenate(vals), lens) * self.con_coeff[entry]
+        return np.bincount(np.repeat(owner, lens) + self.con_seg[entry], weights=weights,
+                           minlength=rows * count).reshape(rows, count)
+
+    def violations(self, matrices, tol: float = 0.0) -> list[list["Violation"]]:
+        """Per matrix, the constraints whose sum leaves its bounds by more
+        than ``tol``, in game order."""
+        sums = self.constraint_sums(matrices)
+        out = [[] for _ in range(len(sums))]
+        for r, i in zip(*np.nonzero((sums < self.lower - tol) | (sums > self.upper + tol))):
+            out[r].append(Violation(self.names[i], float(sums[r, i]), int(self.lower[i]),
+                                    int(self.upper[i])))
         return out
 
     def position(self, target_id: str) -> int:
@@ -352,15 +412,9 @@ class Violation:
 
 
 def constraint_violations(game: AraGame, matrix: np.ndarray, tol: float = 0.0) -> list[Violation]:
-    compiled = game.compiled
-    m = _values(matrix)
-    if m.shape != compiled.shape:
-        raise GameError(f"strategy shape {m.shape} does not match {compiled.shape}")
-    sums = np.bincount(compiled.con_seg, weights=m.ravel()[compiled.con_cell] * compiled.con_coeff,
-                       minlength=len(compiled.names))
-    bad = np.flatnonzero((sums < compiled.lower - tol) | (sums > compiled.upper + tol))
-    return [Violation(compiled.names[i], float(sums[i]), int(compiled.lower[i]),
-                      int(compiled.upper[i])) for i in bad]
+    """The constraints one strategy breaks by more than ``tol``; see
+    ``CompiledGame.violations`` for several at once."""
+    return game.compiled.violations([matrix], tol)[0]
 
 
 @dataclass(frozen=True)

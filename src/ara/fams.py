@@ -120,36 +120,76 @@ class FamsFixer:
     flights without touching any satisfied one; when a violated flight has
     no such schedule, drop one of its allocated schedules uniformly at
     random.  Freed marshals land on the slack column, so equalities are
-    restored without ever decreasing a cell.  Equal schedules go to the
-    lowest column; the random drop serves the most covered flight, ties to
-    the lowest flight id."""
+    restored without ever decreasing a cell.
+
+    ``fix_inequalities`` builds its state once per call, over the allocated
+    schedules only: each one's marshals (lowest row first), the coverage of
+    every flight they fly, the allocated schedules flying each such flight,
+    the blocked schedules (those with a flight at coverage 1) and the clean
+    ones (allocated and not blocked); after that it keeps the coverage of
+    the violated flights only.  Every flight of an allocated schedule has
+    coverage at least 1, so a clean schedule hits only violated flights and
+    its score is its flight count.  A blocked schedule stays blocked while
+    it has a marshal: its flight at coverage 1 can only fall to 0 when the
+    schedule's last marshal comes off.  One marshal comes off per step, and
+    a step updates only the chosen schedule's violated flights and, through
+    a flight reaching coverage 1, the schedules flying it.
+
+    Ties: equal schedules go to the lowest column; the random drop serves
+    the most covered flight, ties to the lowest flight id
+    (``CompiledGame.target_rank``), and draws one ``rng.integers`` over that
+    flight's allocated schedules in column order; the marshal taken off is
+    the lowest row.  The fixer keeps no state between calls."""
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        game = pe0.source_game
-        incidence = game.compiled.target_columns  # flights x schedules
+        compiled = pe0.source_game.compiled
+        flights_of, rank = compiled.column_targets, compiled.target_rank
         x = x.copy()
         n = pe0.source_cols
-        while True:
-            # only allocated schedules (at most one per marshal) count
-            col_tot = x[:, :n].sum(axis=0)
-            cols = col_tot.nonzero()[0]
-            hits = incidence[:, cols]
-            cov = hits @ col_tot[cols]
-            violated = cov > 1
-            if not violated.any():
+        rows, cols = np.divmod(np.flatnonzero(x[:, :n] != 0), n)
+        marshals: dict[int, list[int]] = {}  # per allocated schedule, lowest row first
+        for i, j, units in zip(rows.tolist(), cols.tolist(), x[rows, cols].tolist()):
+            marshals.setdefault(j, []).extend([i] * units)
+        allocated = sorted(marshals)
+        cov: dict[int, int] = {}
+        flying: dict[int, list[int]] = {}
+        for j in allocated:
+            units = len(marshals[j])
+            for f in flights_of[j]:
+                if f in cov:
+                    cov[f] += units
+                    flying[f].append(j)
+                else:
+                    cov[f] = units
+                    flying[f] = [j]
+        blocked = set().union(*(flying[f] for f, c in cov.items() if c == 1))
+        violated = {f: c for f, c in cov.items() if c > 1}
+        clean = [j for j in allocated if flights_of[j] and j not in blocked]
+        # each step takes one marshal off, so all are off after this many
+        for _ in range(sum(map(len, marshals.values())) + 1):
+            if not violated:
                 return x
-            score = np.where((cov == 1) @ hits > 0, 0, violated @ hits)
-            if score.max() > 0:
-                best_col = cols[score.argmax()]
+            clean = [j for j in clean if marshals[j] and j not in blocked]
+            if clean:
+                best = clean[0]
+                for j in clean:
+                    if len(flights_of[j]) > len(flights_of[best]):
+                        best = j
             else:
-                top = (cov == cov.max()).nonzero()[0]
-                worst = min(top, key=lambda fi: game.targets[fi].id)
-                options = cols[hits[worst] > 0]
-                best_col = options[rng.integers(len(options))]
-            # one marshal comes off the chosen schedule per step; repeated
-            # steps re-rank, so repair stops as soon as targets hit coverage 1
-            row = (x[:, best_col] > 0).argmax()
-            x[row, best_col] -= 1
+                top = max(violated.values())
+                worst = min([f for f, c in violated.items() if c == top], key=rank.__getitem__)
+                options = [j for j in flying[worst] if marshals[j]]
+                best = options[rng.integers(len(options))]
+            x[marshals[best].pop(0), best] -= 1
+            for f in flights_of[best]:
+                if f not in violated:
+                    continue  # at coverage 1, so ``best`` was its only schedule
+                if violated[f] == 2:
+                    del violated[f]
+                    blocked.update(flying[f])
+                else:
+                    violated[f] -= 1
+        raise GameError("schedule repair did not end within its allocated marshals")
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         x = x.copy()

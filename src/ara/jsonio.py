@@ -133,7 +133,11 @@ def read_json(path: str):
 
 def load_instance(path: str):
     """Read an instance file; returns (family, parsed instance)."""
-    data = read_json(path)
+    return parse_instance(read_json(path))
+
+
+def parse_instance(data: dict):
+    """An instance file's parsed contents; returns (family, instance)."""
     family = detect_family(data)
     if family == "fams":
         return family, fams_from_json(data)

@@ -11,6 +11,11 @@ uniform for each of the G equality groups with fractional mass, in
 partition order (``_CombSampler``).  The domain fixer's draws follow; a
 failed equality repair starts a new attempt, up to ``RETRY_CAP`` retries
 per sample.
+
+Validity check.  ``estimate_mixed`` checks its samples against the source
+game's constraints in one pass after all m are drawn, ``CHECK_BLOCK``
+samples per call of ``CompiledGame.violations``, not one by one as they are
+drawn; it draws nothing, so the order above is the whole draw order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from ara.core import (
     GameError,
     MixedStrategyEstimate,
     PureStrategy,
-    constraint_violations,
     game_value,
 )
 from ara.marginal import MarginalSolution
@@ -34,6 +38,9 @@ from ara.marginal import MarginalSolution
 COMB_SUM_TOL = 1e-6
 # failed equality repairs tolerated per sample before ``SamplingFailure``
 RETRY_CAP = 100
+# samples per block of the validity check: the check's temporaries grow with
+# the block's nonzero cells, and a whole estimate's would raise the peak memory
+CHECK_BLOCK = 32
 
 
 class Pe0StructureError(GameError):
@@ -220,12 +227,7 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
             continue
         if np.any(done < fixed):
             raise GameError("equality fixer decreased a cell")
-        candidate = pe0.strip(done)
-        bad = constraint_violations(pe0.source_game, candidate)
-        if bad:
-            raise GameError("fixers produced an invalid strategy: "
-                            + "; ".join(map(str, bad)))
-        return candidate, failures
+        return pe0.strip(done), failures
     raise SamplingFailure(failures)
 
 
@@ -241,7 +243,9 @@ def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
     """Average m valid pure strategies of the source game, drawn from the
     marginal solution ``ms`` of ``pe0.game``, and evaluate the source game
     on the averaged matrix.  A sample whose equality repair fails is drawn
-    again with fresh randomness."""
+    again with fresh randomness.  The m samples are checked against the
+    source game's constraints after the last is drawn; the first invalid
+    one raises ``GameError``."""
     if m < 1:
         raise GameError("need at least one sample")
     sampler = _CombSampler(pe0, ms.x_m.values)
@@ -251,5 +255,10 @@ def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
         matrix, f = _sample_with_stats(sampler, pe0, fixer, rng)
         samples.append(PureStrategy(matrix))
         failures += f
+    compiled = pe0.source_game.compiled
+    for lo in range(0, m, CHECK_BLOCK):
+        for bad in compiled.violations(samples[lo:lo + CHECK_BLOCK]):
+            if bad:
+                raise GameError("fixers produced an invalid strategy: " + "; ".join(map(str, bad)))
     est = MixedStrategyEstimate(tuple(samples))
     return EstimateResult(est, game_value(pe0.source_game, est.mean), failures)

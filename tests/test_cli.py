@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ara import cli, exact, lp
+from ara import cli, exact, jsonio, lp
 from ara.cli import main, run_method
 from ara.core import AraGame, AssignmentConstraint, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
@@ -91,6 +91,23 @@ class TestSolveCommand:
             data.pop("wall_ms")
             outs.append(data)
         assert outs[0] == outs[1]
+
+    def test_instance_file_is_read_once(self, tsg_file, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return original(path)
+
+        original = jsonio.read_json
+        monkeypatch.setattr(jsonio, "read_json", counted)
+        monkeypatch.setattr(cli, "read_json", counted)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(tsg_file), "--method", "marginal-bound",
+                     "--out", str(out)]) == 0
+        assert reads == [str(tsg_file)]
+        digest = jsonio.instance_digest(json.loads(tsg_file.read_text()))
+        assert json.loads(out.read_text())["instance_digest"] == digest
 
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3

@@ -208,6 +208,23 @@ class TestCompiledGame:
             got = [(v.constraint, v.achieved) for v in constraint_violations(game, m)]
             assert got == expected
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sums_of_several_matrices_match_constraint_loop(self, seed):
+        # integer matrices (one all zero) sum exactly; a real one only in
+        # another order than the loop
+        rng = np.random.default_rng(1000 + seed)
+        game = random_raw_game(rng)
+        mats = [rng.integers(0, 3, size=(game.k, game.n)) for _ in range(4)]
+        mats.insert(2, np.zeros((game.k, game.n), dtype=np.int64))
+        mats.append(rng.random((game.k, game.n)) * 2)
+        sums = game.compiled.constraint_sums(mats)
+        assert sums.shape == (len(mats), len(game.constraints))
+        for m, row in zip(mats[:-1], sums):
+            assert row.tolist() == [constraint_sum(c, m) for c in game.constraints]
+        expected = [constraint_sum(c, mats[-1]) for c in game.constraints]
+        assert np.allclose(sums[-1], expected, rtol=0, atol=1e-12)
+        assert game.compiled.violations(mats) == [constraint_violations(game, m) for m in mats]
+
     @pytest.mark.parametrize("seed", range(30))
     def test_coverage_and_value_match_loops(self, seed):
         rng = np.random.default_rng(950 + seed)

@@ -19,7 +19,7 @@ from ara.fams import (
 )
 from ara.generators import GenConfig, gen_fams
 from ara.marginal import solve_marginal
-from ara.sampling import to_pe0
+from ara.sampling import _CombSampler, to_pe0
 from conftest import constraint_sum, coverage, random_toy_fams, violations, with_random_forbidden
 
 
@@ -198,6 +198,37 @@ class TestFixer:
             twin.bit_generator.state = state
             assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
             assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_matches_loop_reference_at_benchmark_shape(self):
+        # comb samples of a seeded 40-flight game, 80 schedules of 3 flights
+        inst = gen_fams(GenConfig(seed=3, family="fams", flights=40, schedules=80,
+                                  targets_per_schedule=3, resources=10))
+        _, pe0 = _pe0_for(inst)
+        sampler = _CombSampler(pe0, solve_marginal(pe0.game).x_m.values)
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def integers(self, high):
+                self.draws += 1
+                return self.rng.integers(high)
+
+        rng = np.random.default_rng(12)
+        decrements = draws = 0
+        for _ in range(200):
+            x = sampler.sample(rng)
+            state = rng.bit_generator.state
+            counting = CountingRng(rng)
+            out = FamsFixer().fix_inequalities(x, pe0, counting)
+            twin = np.random.default_rng()
+            twin.bit_generator.state = state
+            assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            decrements += int(x.sum() - out.sum())
+            draws += counting.draws
+        # both the random drop and the clean pick ran
+        assert 0 < draws < decrements
 
     def test_slack_absorbs_freed_marshals(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)

@@ -295,6 +295,31 @@ class TestSamplePure:
         with pytest.raises(GameError, match="increased"):
             estimate_mixed(ms, pe0, Increases(), np.random.default_rng(0), m=1)
 
+    def test_invalid_sample_is_named_with_its_sums(self, fig1b_fams):
+        # the equality repair only raises cells, as it may, but on the third
+        # of five samples it puts marshal 0 twice more on schedule s1
+        game = encode_fams(fig1b_fams)
+        pe0 = to_pe0(game)
+        ms = solve_marginal(pe0.game)
+        repaired = []
+
+        class BreaksThird(FamsFixer):
+            def fix_equalities(self, x, pe0, rng):
+                out = super().fix_equalities(x, pe0, rng)
+                if len(repaired) == 2:
+                    out[0, 0] += 2
+                repaired.append(pe0.strip(out))
+                return out
+
+        with pytest.raises(GameError, match="invalid strategy") as err:
+            estimate_mixed(ms, pe0, BreaksThird(), np.random.default_rng(4), m=5)
+        bad = repaired[2]
+        expected = [f"{con.name()}: sum {constraint_sum(con, bad)} outside [{con.lower}, {con.upper}]"
+                    for con in game.constraints
+                    if not con.lower <= constraint_sum(con, bad) <= con.upper]
+        assert "marshal 0: sum" in str(err.value)
+        assert str(err.value) == "fixers produced an invalid strategy: " + "; ".join(expected)
+
 
 class TestMarginalPreservation:
     def test_comb_means_match_marginal(self, fig1c_tsg):
