@@ -20,7 +20,7 @@ from ara.core import (
     check_implementability,
     game_value,
 )
-from ara.exact import EnumeratedStrategySet, enumerate_pure, exact_maximin
+from ara.exact import enumerate_pure, exact_maximin
 from ara.lp import LinearProgram, LpError, LpSolution, solve_lp
 from ara.marginal import GameInfeasibleError, MarginalSolution, solve_marginal
 from ara.sampling import (
@@ -36,7 +36,6 @@ __all__ = [
     "AdversaryType",
     "AraGame",
     "AssignmentConstraint",
-    "EnumeratedStrategySet",
     "EqualityFixFailed",
     "GameError",
     "GameInfeasibleError",

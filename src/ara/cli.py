@@ -29,7 +29,7 @@ from ara.jsonio import (
 )
 from ara.lp import LpError
 from ara.marginal import solve_marginal
-from ara.reports import SolveReport
+from ara.reports import METHODS, SolveReport
 from ara.sampling import SamplingFailure, estimate_mixed, to_pe0
 from ara.tsg import TsgFixer, encode_tsg, tsg_detection_ratio
 
@@ -61,18 +61,14 @@ def run_method(family: str, inst, method: str, seed: int, samples: int = DEFAULT
         ms = solve_marginal(game)
         value = upper = ms.upper_bound
     elif method == "exact":
-        strategies = enumerate_pure(game)
-        if strategies.truncated:
-            raise GameError(f"enumeration truncated at {len(strategies.strategies)} strategies; "
-                            "the exact oracle cannot certify this instance")
-        value = upper = exact_maximin(game, strategies).value
+        value = upper = exact_maximin(game, enumerate_pure(game)).value
     elif method == "cg":
         if family != "fams":
             raise GameError("column generation only applies to air-marshal instances")
         value = upper = fams_column_generation(inst, cutoff_s=cutoff_s).value
     elif method == "rand":
         if family == "fams":
-            fixer = FamsFixer()
+            fixer = FamsFixer(inst)
         elif family == "tsg":
             fixer = TsgFixer(inst)
         else:
@@ -127,18 +123,14 @@ CSV_COLUMNS = ["family", "size", "seed", "method", "value", "upper_bound", "loss
                "wall_ms", "sample_failures", "status"]
 
 
-def _bench_row(family: str, size: int, rep: int, method: str, base: dict,
-               samples: int, cutoff_s: float, seed_base: int) -> dict:
-    seed = seed_base + rep
-    cfg = GenConfig(seed=seed, family=family, flights=size, **base)
-    inst = gen_fams(cfg) if family == "fams" else gen_tsg(cfg)
-    data = fams_to_json(inst) if family == "fams" else tsg_to_json(inst)
+def _bench_row(family: str, size: int, seed: int, method: str, inst, digest: str,
+               samples: int, cutoff_s: float) -> dict:
     row = {"family": family, "size": size, "seed": seed, "method": method,
            "value": "", "upper_bound": "", "loss_pct": "", "wall_ms": "",
            "sample_failures": "", "status": "ok"}
     try:
         report = run_method(family, inst, method, seed, samples=samples,
-                            cutoff_s=cutoff_s, digest=instance_digest(data))
+                            cutoff_s=cutoff_s, digest=digest)
         row.update(value=f"{report.value:.9f}", upper_bound=f"{report.upper_bound:.9f}",
                    wall_ms=report.wall_ms, sample_failures=report.sample_failures)
     except SolveTimeout:
@@ -166,28 +158,26 @@ def _cmd_bench(args) -> int:
     if not methods:
         raise ParseError(args.config, "config lists no methods")
 
-    rows = [_bench_row(family, size, rep, method, base, samples, cutoff_s, seed_base)
-            for size in sizes for rep in range(reps) for method in methods]
-
-    by_key = {(r["size"], r["seed"], r["method"]): r for r in rows}
-    reference = [m for m in ("exact", "cg") if m in methods]
-    for (size, seed, method), row in by_key.items():
-        if method != "rand" or row["status"] != "ok":
-            continue
-        for ref in reference:
-            ref_row = by_key.get((size, seed, ref))
-            if ref_row and ref_row["status"] == "ok":
-                exact_v = float(ref_row["value"])
-                row["loss_pct"] = f"{100.0 * (exact_v - float(row['value'])) / abs(exact_v):.6f}"
-                break
-
+    # each instance is generated and digested once, for all methods
     out_rows = []
     for size in sizes:
-        for rep in range(reps):
-            for method in methods:
-                out_rows.append(by_key[(size, seed_base + rep, method)])
+        per_seed = []
+        for seed in range(seed_base, seed_base + reps):
+            gen = GenConfig(seed=seed, family=family, flights=size, **base)
+            inst = gen_fams(gen) if family == "fams" else gen_tsg(gen)
+            digest = instance_digest(fams_to_json(inst) if family == "fams" else tsg_to_json(inst))
+            rows = {method: _bench_row(family, size, seed, method, inst, digest, samples, cutoff_s)
+                    for method in methods}
+            # rand's loss against the first of exact and cg that solved
+            rand = rows.get("rand")
+            refs = [rows[m] for m in ("exact", "cg") if m in rows and rows[m]["status"] == "ok"]
+            if rand and rand["status"] == "ok" and refs:
+                exact_v = float(refs[0]["value"])
+                rand["loss_pct"] = f"{100.0 * (exact_v - float(rand['value'])) / abs(exact_v):.6f}"
+            per_seed.append(rows)
+            out_rows.extend(rows[method] for method in methods)
         for method in methods:
-            group = [by_key[(size, seed_base + rep, method)] for rep in range(reps)]
+            group = [rows[method] for rows in per_seed]
             losses = [float(r["loss_pct"]) for r in group if r["loss_pct"] != ""]
             walls = [int(r["wall_ms"]) for r in group if r["wall_ms"] != ""]
             out_rows.append({"family": family, "size": size, "seed": "mean", "method": method,
@@ -238,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--method", choices=["rand", "exact", "cg", "marginal-bound"],
-                       required=True)
+    solve.add_argument("--method", choices=METHODS, required=True)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     solve.add_argument("--cutoff-s", type=float, default=DEFAULT_CUTOFF_S)

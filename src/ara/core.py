@@ -192,26 +192,6 @@ class CompiledGame:
         self.num_types = len(game.adversary_types)
 
     @cached_property
-    def target_columns(self) -> np.ndarray:
-        """T x n incidence: 1 where a target weights some cell of the column."""
-        out = np.zeros((len(self.target_index), self.shape[1]), dtype=np.int64)
-        out[self.tgt_seg, self.tgt_cell % self.shape[1]] = 1
-        return out
-
-    @cached_property
-    def column_targets(self) -> tuple[tuple[int, ...], ...]:
-        """Per column, the targets that weight some cell of it, ascending."""
-        return tuple(tuple(np.flatnonzero(col).tolist()) for col in self.target_columns.T)
-
-    @cached_property
-    def target_rank(self) -> tuple[int, ...]:
-        """Per target, the position of its id in sorted id order."""
-        rank = [0] * len(self.target_index)
-        for pos, tid in enumerate(sorted(self.target_index)):
-            rank[self.target_index[tid]] = pos
-        return tuple(rank)
-
-    @cached_property
     def cell_constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """The constraint entries cell-major (CSR): ``order[ptr[c]:ptr[c + 1]]``
         are the positions of cell c's entries in ``con_cell``, ascending.

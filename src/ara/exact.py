@@ -1,6 +1,6 @@
 """Ground-truth maximin solver: enumerate pure strategies, then solve the
-support LP.  Only viable for tiny instances; callers must refuse truncated
-enumerations."""
+support LP.  Only viable for tiny instances; an enumeration past its caps
+raises ``GameError``."""
 
 from __future__ import annotations
 
@@ -11,26 +11,21 @@ import numpy as np
 from ara.core import AraGame, GameError, PureStrategy
 from ara.lp import LinearProgram, solve_lp
 
-# most pure strategies an enumeration keeps before it stops as truncated
+# most pure strategies an enumeration may find
 ENUM_CAP = 10 ** 6
 
 # largest total size of the strategy matrices an enumeration may keep
 MAX_ENUM_BYTES = 1 << 30
 
 
-@dataclass(frozen=True)
-class EnumeratedStrategySet:
-    strategies: tuple[PureStrategy, ...]
-    truncated: bool
+def enumerate_pure(game: AraGame) -> tuple[PureStrategy, ...]:
+    """Every pure strategy, by depth-first search over cells with
+    running-sum constraint propagation.
 
-
-def enumerate_pure(game: AraGame) -> EnumeratedStrategySet:
-    """Depth-first search over cells with running-sum constraint propagation.
-
-    Exhaustive iff the strategy count stays within ``ENUM_CAP``; otherwise
-    the result is truncated and unusable for certification.  Every strategy
-    is kept as a k x n matrix, so the search raises ``GameError`` once the
-    kept matrices would pass ``MAX_ENUM_BYTES``, whatever ``ENUM_CAP`` allows.
+    The search raises ``GameError`` once it finds more than ``ENUM_CAP``
+    strategies.  Every strategy is kept as a k x n matrix, so it also raises
+    once the kept matrices would pass ``MAX_ENUM_BYTES``, whatever
+    ``ENUM_CAP`` allows.
     """
     k, n = game.k, game.n
     ncells = k * n
@@ -52,7 +47,6 @@ def enumerate_pure(game: AraGame) -> EnumeratedStrategySet:
                for con in cons]
     matrix = np.zeros((k, n), dtype=np.int64)
     out: list[PureStrategy] = []
-    truncated = False
 
     # Iterative so that the search depth (one level per cell) is not bounded
     # by the interpreter's recursion limit.  At each open cell, value[idx] is
@@ -97,15 +91,15 @@ def enumerate_pure(game: AraGame) -> EnumeratedStrategySet:
             depth += 1
             open_cell(depth)
         elif len(out) >= ENUM_CAP:
-            truncated = True
-            break
+            raise GameError(f"the enumeration passed its cap of {ENUM_CAP} pure strategies; "
+                            "the exact oracle cannot certify this instance")
         elif (len(out) + 1) * matrix.nbytes > MAX_ENUM_BYTES:
             raise GameError(f"more than {len(out)} pure strategies of {k} x {n} cells "
                             f"would pass the {MAX_ENUM_BYTES / 2**30:g} GiB enumeration limit")
         else:
             out.append(PureStrategy(matrix.copy()))
 
-    return EnumeratedStrategySet(tuple(out), truncated)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -152,10 +146,6 @@ def exact_maximin(game: AraGame, strategies) -> MaximinSolution:
     pure-strategy list.  Its rows are the active types' targets in game
     order, then the ``mix`` row: the master LP of column generation, so
     both solve the same program over the same strategies."""
-    if isinstance(strategies, EnumeratedStrategySet):
-        if strategies.truncated:
-            raise GameError("refusing to certify with a truncated enumeration")
-        strategies = strategies.strategies
     strategies = tuple(strategies)
     if not strategies:
         raise GameError("no pure strategies to mix")

@@ -136,14 +136,21 @@ class FamsFixer:
     a flight reaching coverage 1, the schedules flying it.
 
     Ties: equal schedules go to the lowest column; the random drop serves
-    the most covered flight, ties to the lowest flight id
-    (``CompiledGame.target_rank``), and draws one ``rng.integers`` over that
-    flight's allocated schedules in column order; the marshal taken off is
-    the lowest row.  The fixer keeps no state between calls."""
+    the most covered flight, ties to the lowest flight id, and draws one
+    ``rng.integers`` over that flight's allocated schedules in column order;
+    the marshal taken off is the lowest row.
+
+    Built once from the instance: each schedule's flights in flight order
+    (``flights_of``) and each flight's rank in id order (``rank``).  The
+    fixer keeps no state between calls."""
+
+    def __init__(self, inst: FamsInstance):
+        self.flights_of = _schedule_flights(inst)
+        by_id = {fid: pos for pos, fid in enumerate(sorted(f.id for f in inst.flights))}
+        self.rank = tuple(by_id[f.id] for f in inst.flights)
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        compiled = pe0.source_game.compiled
-        flights_of, rank = compiled.column_targets, compiled.target_rank
+        flights_of, rank = self.flights_of, self.rank
         x = x.copy()
         n = pe0.source_cols
         rows, cols = np.divmod(np.flatnonzero(x[:, :n] != 0), n)
@@ -164,7 +171,7 @@ class FamsFixer:
                     flying[f] = [j]
         blocked = set().union(*(flying[f] for f, c in cov.items() if c == 1))
         violated = {f: c for f, c in cov.items() if c > 1}
-        clean = [j for j in allocated if flights_of[j] and j not in blocked]
+        clean = [j for j in allocated if j not in blocked]
         # each step takes one marshal off, so all are off after this many
         for _ in range(sum(map(len, marshals.values())) + 1):
             if not violated:
@@ -192,18 +199,27 @@ class FamsFixer:
         raise GameError("schedule repair did not end within its allocated marshals")
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
+        """Fill each marshal's unit budget (``encode_fams``) on the slack column."""
         x = x.copy()
-        slack = pe0.source_cols
-        if x.shape[1] == slack:
-            return x
-        budgets = np.zeros(x.shape[0], dtype=np.int64)
-        for con in pe0.equality_partition:
-            budgets[next(iter(con.cells))[0]] = con.lower
-        short = budgets - x.sum(axis=1)
+        short = 1 - x.sum(axis=1)
         if np.any(short < 0):
             raise GameError("a row exceeds its budget after repair")
-        x[:, slack] += short
+        x[:, pe0.source_cols] += short
         return x
+
+
+def _schedule_flights(inst: FamsInstance) -> tuple[tuple[int, ...], ...]:
+    """Per schedule, the positions of its flights in ``inst.flights``, ascending."""
+    index = {f.id: t for t, f in enumerate(inst.flights)}
+    return tuple(tuple(sorted(index[f] for f in s.flights)) for s in inst.schedules)
+
+
+def _flight_major(flights_of) -> tuple[np.ndarray, np.ndarray]:
+    """The (flight, schedule) pairs of per-schedule flight lists as two
+    arrays, flight-major with schedules ascending: the order in which
+    ``np.nonzero`` lists a flight x schedule incidence."""
+    pairs = sorted((f, j) for j, flights in enumerate(flights_of) for f in flights)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
 def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf) -> PureStrategy:
@@ -334,7 +350,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) ->
     compiled = game.compiled  # targets are the flights, in flight order
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
-    flight_of, col_of = np.nonzero(compiled.target_columns)  # flight-major
+    flight_of, col_of = _flight_major(_schedule_flights(inst))
     mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
     empty = PureStrategy(np.zeros((inst.num_marshals, len(inst.schedules)), dtype=np.int64))

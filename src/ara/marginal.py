@@ -46,6 +46,7 @@ from ara.core import (
     MarginalStrategy,
     add_constraint_rows,
     constraint_violations,
+    game_value,
 )
 from ara.lp import LinearProgram, solve_lp
 
@@ -60,7 +61,6 @@ class GameInfeasibleError(GameError):
 class MarginalSolution:
     x_m: MarginalStrategy
     upper_bound: float
-    per_type_values: dict[str, float]
 
 
 def solve_marginal(game: AraGame) -> MarginalSolution:
@@ -93,14 +93,11 @@ def solve_marginal(game: AraGame) -> MarginalSolution:
         raise GameError("marginal solution violates constraints: " + "; ".join(map(str, bad)))
     x_m = MarginalStrategy(x)
 
-    worst = game.compiled.type_minima(game.compiled.utilities(x))
-    per_type = {a.id: float(w) if a.targets else 0.0
-                for a, w in zip(game.adversary_types, worst)}
-    upper = sum(a.probability * per_type[a.id] for a in game.adversary_types)
+    upper = game_value(game, x)
     if abs(upper - sol.objective_value) > 1e-6 * max(1.0, abs(upper)):
         raise GameError(f"marginal objective {sol.objective_value} disagrees with "
                         f"recomputed bound {upper}")
-    return MarginalSolution(x_m, float(upper), per_type)
+    return MarginalSolution(x_m, upper)
 
 
 def _marginal_lp(game: AraGame, constraints, var, nx: int) -> LinearProgram:

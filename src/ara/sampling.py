@@ -105,7 +105,8 @@ def to_pe0(game: AraGame) -> Pe0Form:
     through unchanged.  Games with per-row budget inequalities get a shared
     dummy column holding one slack cell per asset, turning each row budget
     into an equality; a slack cell of one marks the asset unallocated.
-    Zero-fixing equalities are kept as upper-bound-zero inequalities.
+    The other constraints, zero-fixing equalities among them, pass through
+    unchanged as the inequalities.
     """
     eqs = [c for c in game.constraints if c.is_equality and c.lower > 0]
     ineqs = [c for c in game.constraints if not (c.is_equality and c.lower > 0)]
@@ -139,10 +140,9 @@ def to_pe0(game: AraGame) -> Pe0Form:
         cells = frozenset((i, j) for j in range(n_ext))
         equalities.append(AssignmentConstraint(cells, budget.upper, budget.upper,
                                                label=f"{budget.name()} (with slack)"))
-    carried = [AssignmentConstraint(c.cells, c.lower, c.upper, c.label, c.coeffs) for c in others]
-    ext = AraGame(game.k, n_ext, tuple(equalities) + tuple(carried), game.targets,
+    ext = AraGame(game.k, n_ext, tuple(equalities) + tuple(others), game.targets,
                   game.adversary_types, validate_weights=False)
-    return Pe0Form(ext, tuple(equalities), tuple(carried), game, game.n)
+    return Pe0Form(ext, tuple(equalities), tuple(others), game, game.n)
 
 
 def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -126,7 +126,7 @@ class TestSolveCommand:
         path = self._wide_game_file(tmp_path)
         monkeypatch.setattr(exact, "ENUM_CAP", 10)
         assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
-        assert "truncated" in capsys.readouterr().err
+        assert "enumeration passed its cap of 10 pure strategies" in capsys.readouterr().err
 
     def test_exact_past_the_enumeration_budget_is_a_solver_error(self, tmp_path,
                                                                 monkeypatch, capsys):
@@ -142,7 +142,7 @@ class TestSolveCommand:
             ms = solve_marginal(game)
             x = ms.x_m.values.copy()
             x[0, 0] += 0.3  # the first category's mass is no longer integral
-            return MarginalSolution(MarginalStrategy(x), ms.upper_bound, ms.per_type_values)
+            return MarginalSolution(MarginalStrategy(x), ms.upper_bound)
 
         monkeypatch.setattr(cli, "solve_marginal", shifted)
         assert main(["solve", "--instance", str(tsg_file), "--method", "rand",
@@ -236,6 +236,23 @@ class TestBenchCommand:
                 r.pop("wall_ms")
             outs.append(rows)
         assert outs[0] == outs[1]
+
+    def test_each_instance_is_generated_once(self, tmp_path, monkeypatch):
+        # 2 sizes x 3 repetitions, shared by both methods
+        calls = []
+
+        def counted(cfg):
+            calls.append((cfg.flights, cfg.seed))
+            return gen_fams(cfg)
+
+        monkeypatch.setattr(cli, "gen_fams", counted)
+        config = {"family": "fams", "sizes": [3, 4], "repetitions": 3,
+                  "methods": ["rand", "marginal-bound"], "samples": 10,
+                  "base": {"schedules": 3, "targets_per_schedule": 2, "resources": 2}}
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert calls == [(size, seed) for size in (3, 4) for seed in range(3)]
 
     def test_empty_methods_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "bench.json"

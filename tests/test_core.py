@@ -248,15 +248,6 @@ class TestCompiledGame:
         assert coverage(game, m, "lonely") == 0.0
         assert game_value(game, m) == -6.0 == loop_game_value(game, m)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_target_columns_mark_weighted_columns(self, seed):
-        game = random_raw_game(np.random.default_rng(980 + seed))
-        expected = np.zeros((len(game.targets), game.n), dtype=np.int64)
-        for ti, t in enumerate(game.targets):
-            for _, j in t.weights:
-                expected[ti, j] = 1
-        assert np.array_equal(game.compiled.target_columns, expected)
-
     def test_wrong_shape_is_a_game_error(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
         with pytest.raises(GameError, match="shape"):

@@ -15,26 +15,22 @@ def test_single_cell_binary():
     con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1)
     t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, 0.0, -1.0)
     game = AraGame(1, 1, (con,), (t,))
-    out = enumerate_pure(game)
-    assert not out.truncated
-    assert sorted(int(s.values[0, 0]) for s in out.strategies) == [0, 1]
+    assert sorted(int(s.values[0, 0]) for s in enumerate_pure(game)) == [0, 1]
 
 
 def test_enumeration_respects_flight_constraints(fig1b_fams):
     game = encode_fams(fig1b_fams)
     out = enumerate_pure(game)
-    assert not out.truncated
-    for s in out.strategies:
+    for s in out:
         assert violations(game, s) == []
     # no duplicates
-    seen = {s.values.tobytes() for s in out.strategies}
-    assert len(seen) == len(out.strategies)
+    seen = {s.values.tobytes() for s in out}
+    assert len(seen) == len(out)
 
 
 def test_tsg_count_matches_hand_enumeration(fig1c_tsg):
     game = encode_tsg(fig1c_tsg)
     out = enumerate_pure(game)
-    assert not out.truncated
 
     # independent nested-loop count over per-column compositions
     import itertools
@@ -55,19 +51,20 @@ def test_tsg_count_matches_hand_enumeration(fig1c_tsg):
         md = m[1].sum() + m[2].sum()
         if xray <= 7 and md <= 15:
             count += 1
-    assert len(out.strategies) == count
+    assert len(out) == count
 
 
-def test_truncation_flag(monkeypatch):
-    monkeypatch.setattr(exact, "ENUM_CAP", 3)
+def test_enumeration_past_the_cap_is_refused(monkeypatch):
+    # 35 strategies: the rows of four nonnegative cells summing to at most 3
     game_cells = frozenset({(0, j) for j in range(4)})
     con = AssignmentConstraint(game_cells, 0, 3)
     t = Target("t", game_cells, {c: 0.25 for c in game_cells}, 0.0, -1.0)
     game = AraGame(1, 4, (con,), (t,))
-    out = enumerate_pure(game)
-    assert out.truncated
-    with pytest.raises(GameError, match="truncated"):
-        exact_maximin(game, out)
+    monkeypatch.setattr(exact, "ENUM_CAP", 35)
+    assert len(enumerate_pure(game)) == 35
+    monkeypatch.setattr(exact, "ENUM_CAP", 34)
+    with pytest.raises(GameError, match="enumeration passed its cap of 34 pure strategies"):
+        enumerate_pure(game)
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
@@ -76,10 +73,8 @@ def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
     cells = frozenset((0, j) for j in range(1500))
     t = Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0)
     game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),), (t,))
-    out = enumerate_pure(game)
-    assert out.truncated
-    assert len(out.strategies) == 10
-    assert all(violations(game, s) == [] for s in out.strategies)
+    with pytest.raises(GameError, match="cap of 10 pure strategies"):
+        enumerate_pure(game)
 
 
 def test_enumeration_past_the_byte_budget_is_refused(monkeypatch):
@@ -105,7 +100,7 @@ def test_single_strategy_value():
     game = AraGame(1, 1, (con,), (t,))
     out = enumerate_pure(game)
     sol = exact_maximin(game, out)
-    assert sol.value == pytest.approx(game_value(game, out.strategies[0]))
+    assert sol.value == pytest.approx(game_value(game, out[0]))
 
 
 def test_matching_pennies_mix():
@@ -127,7 +122,7 @@ def test_matching_pennies_mix():
 
 def test_duplicating_a_strategy_changes_nothing(fig1b_fams):
     game = encode_fams(fig1b_fams)
-    strategies = enumerate_pure(game).strategies
+    strategies = enumerate_pure(game)
     base = exact_maximin(game, strategies)
     doubled = exact_maximin(game, strategies + (strategies[0],))
     assert doubled.value == pytest.approx(base.value, abs=1e-9)

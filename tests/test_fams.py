@@ -36,7 +36,7 @@ class TestEncode:
         inst = FamsInstance(1, (Schedule("s0", frozenset({"f0"})),),
                             (FlightSpec("f0", -1.0, -4.0),))
         game = encode_fams(inst)
-        for s in enumerate_pure(game).strategies:
+        for s in enumerate_pure(game):
             assert coverage(game, s, "f0") in (0.0, 1.0)
 
     def test_flight_without_schedule_gets_empty_target(self):
@@ -59,7 +59,7 @@ class TestEncode:
     def test_enumerated_coverage_below_one(self, seed):
         inst = random_toy_fams(np.random.default_rng(300 + seed))
         game = encode_fams(inst)
-        for s in enumerate_pure(game).strategies:
+        for s in enumerate_pure(game):
             for f in inst.flights:
                 assert coverage(game, s, f.id) <= 1.0
 
@@ -94,13 +94,42 @@ def loop_fix_inequalities(x, pe0, rng):
         x[np.flatnonzero(x[:, best_col])[0], best_col] -= 1
 
 
+class TestInstanceIndexes:
+    """The fixer's and column generation's indexes, built from the instance,
+    against the encoded game's target cells (flight t is target t)."""
+
+    @pytest.mark.parametrize("inst", [
+        *(pytest.param(random_toy_fams(np.random.default_rng(720 + seed)), id=f"toy{seed}")
+          for seed in range(10)),
+        *(pytest.param(with_random_forbidden(random_toy_fams(np.random.default_rng(740 + seed)),
+                                             np.random.default_rng(seed)), id=f"forbidden{seed}")
+          for seed in range(5)),
+        pytest.param(gen_fams(GenConfig(seed=0, family="fams", flights=100, schedules=200,
+                                        targets_per_schedule=3, resources=20)), id="fams-rand"),
+    ])
+    def test_indexes_match_the_target_cells(self, inst):
+        game = encode_fams(inst)
+        incidence = np.zeros((len(game.targets), game.n), dtype=np.int64)
+        for t, target in enumerate(game.targets):
+            for _, j in target.cells:
+                incidence[t, j] = 1
+        fixer = FamsFixer(inst)
+        assert fixer.flights_of == tuple(tuple(np.flatnonzero(col).tolist())
+                                         for col in incidence.T)
+        ids = [target.id for target in game.targets]
+        assert fixer.rank == tuple(sorted(ids).index(tid) for tid in ids)
+        flight_of, col_of = fams._flight_major(fixer.flights_of)
+        expected = np.nonzero(incidence)
+        assert np.array_equal(flight_of, expected[0]) and np.array_equal(col_of, expected[1])
+
+
 class TestFixer:
     def test_no_violation_is_identity(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)
         x = np.zeros((3, 4), dtype=np.int64)
         x[0, 0] = 1
         x[:, 3] = [0, 1, 1]
-        out = FamsFixer().fix_inequalities(x, pe0, np.random.default_rng(0))
+        out = FamsFixer(fig1b_fams).fix_inequalities(x, pe0, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_two_schedules_on_one_flight(self):
@@ -113,7 +142,7 @@ class TestFixer:
         x = np.zeros((2, 3), dtype=np.int64)
         x[0, 0] = 1
         x[1, 1] = 1
-        out = FamsFixer().fix_inequalities(x, pe0, np.random.default_rng(1))
+        out = FamsFixer(inst).fix_inequalities(x, pe0, np.random.default_rng(1))
         assert coverage(game, out[:, :2], "f0") == 1.0
 
     def test_priority_prefers_pure_violators(self):
@@ -134,7 +163,7 @@ class TestFixer:
         # f0, f1, f2 all have coverage 2: every schedule contains only
         # violated flights; s0 ties with s1 and s2 at two violated flights,
         # lowest schedule id wins, then the rest settle without random picks
-        out = FamsFixer().fix_inequalities(x, pe0, np.random.default_rng(2))
+        out = FamsFixer(inst).fix_inequalities(x, pe0, np.random.default_rng(2))
         assert out[:, 0].sum() == 0
         assert violations(game, out[:, :3]) == []
         for f in ("f0", "f1", "f2"):
@@ -153,7 +182,7 @@ class TestFixer:
         x[0, 0] = 1
         x[1, 1] = 1
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-        out = FamsFixer().fix_inequalities(x, pe0, rng)
+        out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
         dropped = int(twin.integers(2))
         assert rng.bit_generator.state == twin.bit_generator.state
         assert out[:, :2].sum(axis=0).tolist() == [int(dropped != 0), int(dropped != 1)]
@@ -174,7 +203,7 @@ class TestFixer:
         x = np.zeros((5, 6), dtype=np.int64)
         x[np.arange(5), np.arange(5)] = 1
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        out = FamsFixer().fix_inequalities(x, pe0, rng)
+        out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
         expected = x.copy()
         for f in ("fa", "fa", "fb"):
             live = [j for j in groups[f] if expected[j, j]]
@@ -193,7 +222,7 @@ class TestFixer:
             x = np.zeros((inst.num_marshals, n + 1), dtype=np.int64)
             x[np.arange(inst.num_marshals), rng.integers(0, n + 1, size=inst.num_marshals)] = 1
             state = rng.bit_generator.state
-            out = FamsFixer().fix_inequalities(x, pe0, rng)
+            out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
             twin = np.random.default_rng()
             twin.bit_generator.state = state
             assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
@@ -220,7 +249,7 @@ class TestFixer:
             x = sampler.sample(rng)
             state = rng.bit_generator.state
             counting = CountingRng(rng)
-            out = FamsFixer().fix_inequalities(x, pe0, counting)
+            out = FamsFixer(inst).fix_inequalities(x, pe0, counting)
             twin = np.random.default_rng()
             twin.bit_generator.state = state
             assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
@@ -236,7 +265,7 @@ class TestFixer:
         x[0, 0] = 1  # s1 -> f1
         x[1, 1] = 1  # s2 -> f1, f2  (f1 now violated)
         x[2, 3] = 1  # slack
-        fixer = FamsFixer()
+        fixer = FamsFixer(fig1b_fams)
         mid = fixer.fix_inequalities(x, pe0, np.random.default_rng(3))
         out = fixer.fix_equalities(mid, pe0, np.random.default_rng(3))
         assert np.all(out >= mid)
@@ -258,7 +287,7 @@ class TestDbr:
         game = encode_fams(fig1b_fams)
         best = fams_dbr(fig1b_fams, np.ones(3))
         assert violations(game, best) == []
-        brute = max(enumerate_pure(game).strategies, key=lambda s: s.values.sum())
+        brute = max(enumerate_pure(game), key=lambda s: s.values.sum())
         assert best.values.sum() == brute.values.sum()
 
     def test_forbidden_blocks_best(self):
@@ -283,7 +312,7 @@ class TestDbr:
         w = rng.uniform(0.1, 2.0, size=len(inst.schedules))
         best = fams_dbr(inst, w)
         assert violations(game, best) == []
-        brute = max(float(s.values.sum(axis=0) @ w) for s in enumerate_pure(game).strategies)
+        brute = max(float(s.values.sum(axis=0) @ w) for s in enumerate_pure(game))
         assert float(best.values.sum(axis=0) @ w) == pytest.approx(brute, abs=1e-9)
 
     def test_augmenting_path_places_both(self):

@@ -98,7 +98,7 @@ def test_fams_desk_scale_pipeline():
     game = encode_fams(inst)
     pe0 = to_pe0(game)
     ms = solve_marginal(pe0.game)
-    res = estimate_mixed(ms, pe0, FamsFixer(), np.random.default_rng(0), m=50)
+    res = estimate_mixed(ms, pe0, FamsFixer(inst), np.random.default_rng(0), m=50)
     assert res.value <= ms.upper_bound + 1e-6
 
 

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every private
 top-level function or class is used somewhere in the package, every
-exported function is called from another module of the package, and no
-module imports scipy.
+exported function is called from another module of the package, no
+module imports scipy, and the generic modules import no domain module.
 
 No linter runs on this repository, so this walks the syntax trees instead.
 ``__init__.py`` is left out of the import check: it imports names to
@@ -151,3 +151,38 @@ def test_checker_sees_scipy_imports():
               "def f():\n    from scipy.optimize import linprog\n    return linprog\n"
               "import scipy.sparse as sp\nfrom . import lp\n")
     assert imported_modules(source) == {"numpy", "scipy"}
+
+
+GENERIC = ("core", "lp", "marginal", "sampling", "exact")
+DOMAINS = ("ara.fams", "ara.tsg")
+
+
+def domain_imports(source: str) -> list[str]:
+    """The imports of a domain module (or of a name in one) in ``source``,
+    at any depth, absolute or relative to the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(filter(None, ("ara", node.module)))
+            names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found.update(name for name in names
+                     if any(name == d or name.startswith(d + ".") for d in DOMAINS))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_modules_import_no_domain(name):
+    # the air-marshal and screening domains build on the generic layers,
+    # never the other way round
+    assert domain_imports((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def test_checker_sees_domain_imports():
+    source = ("from ara.core import GameError\nimport ara.fams\n"
+              "def f():\n    from ara import tsg\n    from .fams import FamsFixer\n"
+              "from . import lp\nfrom ara.tsgx import y\n")
+    assert domain_imports(source) == ["ara.fams", "ara.fams.FamsFixer", "ara.tsg"]

@@ -26,7 +26,8 @@ def test_single_saturating_target():
     game = AraGame(1, 1, (con,), (t,))
     ms = solve_marginal(game)
     assert ms.upper_bound == pytest.approx(-1.0)
-    assert ms.per_type_values["default"] == pytest.approx(-1.0)
+    assert game.compiled.type_minima(game.compiled.utilities(ms.x_m.values)) == \
+        pytest.approx([-1.0])
 
 
 def test_fig1c_dominates_exact(fig1c_tsg):
@@ -53,8 +54,8 @@ def test_marginal_satisfies_constraints(fig1b_fams):
 def test_upper_bound_is_weighted_type_values(fig1c_tsg):
     game = encode_tsg(fig1c_tsg)
     ms = solve_marginal(game)
-    recomputed = sum(a.probability * ms.per_type_values[a.id]
-                     for a in game.adversary_types)
+    worst = game.compiled.type_minima(game.compiled.utilities(ms.x_m.values))
+    recomputed = sum(a.probability * w for a, w in zip(game.adversary_types, worst))
     assert ms.upper_bound == pytest.approx(recomputed, abs=1e-9)
 
 
@@ -95,11 +96,10 @@ def test_dominance_on_random_toys(seed, monkeypatch):
     game = encode_fams(inst) if seed % 2 else encode_tsg(inst)
     ms = solve_marginal(game)
     strategies = enumerate_pure(game)
-    assert not strategies.truncated
     exact_value = exact_maximin(game, strategies).value
     assert ms.upper_bound >= exact_value - 1e-6
     pe0 = to_pe0(game)
-    fixer = FamsFixer() if seed % 2 else TsgFixer(inst)
+    fixer = FamsFixer(inst) if seed % 2 else TsgFixer(inst)
     rand = estimate_mixed(solve_marginal(pe0.game), pe0, fixer, np.random.default_rng(seed), m=200)
     assert rand.value <= exact_value + 1e-9
 

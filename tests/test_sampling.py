@@ -219,7 +219,7 @@ class TestSeededOutputs:
     def test_fams(self):
         inst = gen_fams(GenConfig(seed=0, family="fams", flights=12, schedules=24,
                                   targets_per_schedule=2, resources=4))
-        value, digest = self.run(inst, FamsFixer(), encode_fams)
+        value, digest = self.run(inst, FamsFixer(inst), encode_fams)
         assert value == -3.7450000000000006
         assert digest == "7ba8469dc68ada78abcaa0e380e6dec75305750af782c611fae65562bf23cdec"
 
@@ -229,7 +229,7 @@ class TestSamplePure:
         game = encode_fams(fig1b_fams)
         pe0 = to_pe0(game)
         ms = solve_marginal(pe0.game)
-        res = estimate_mixed(ms, pe0, FamsFixer(), np.random.default_rng(42), m=300)
+        res = estimate_mixed(ms, pe0, FamsFixer(fig1b_fams), np.random.default_rng(42), m=300)
         for p in res.estimate.samples:
             assert violations(game, p) == []
 
@@ -248,7 +248,7 @@ class TestSamplePure:
         integral = np.array([[2, 3, 0],
                              [0, 0, 2],
                              [0, 0, 13]], dtype=float)
-        ms = MarginalSolution(MarginalStrategy(integral), upper_bound=0.0, per_type_values={})
+        ms = MarginalSolution(MarginalStrategy(integral), upper_bound=0.0)
 
         class SpyFixer:
             calls = 0
@@ -312,7 +312,7 @@ class TestSamplePure:
                 return out
 
         with pytest.raises(GameError, match="invalid strategy") as err:
-            estimate_mixed(ms, pe0, BreaksThird(), np.random.default_rng(4), m=5)
+            estimate_mixed(ms, pe0, BreaksThird(fig1b_fams), np.random.default_rng(4), m=5)
         bad = repaired[2]
         expected = [f"{con.name()}: sum {constraint_sum(con, bad)} outside [{con.lower}, {con.upper}]"
                     for con in game.constraints
@@ -379,4 +379,4 @@ class TestEstimateMixed:
         pe0 = to_pe0(game)
         ms = solve_marginal(game)
         with pytest.raises(GameError, match="marginal shape"):
-            estimate_mixed(ms, pe0, FamsFixer(), np.random.default_rng(0), m=1)
+            estimate_mixed(ms, pe0, FamsFixer(fig1b_fams), np.random.default_rng(0), m=1)

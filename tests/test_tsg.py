@@ -37,14 +37,14 @@ class TestEncode:
             risk_levels=(RiskLevel("risk", 1.0),))
         game = encode_tsg(inst)
         out = enumerate_pure(game)
-        assert len(out.strategies) == 1
-        assert coverage(game, out.strategies[0], "c") == pytest.approx(0.7)
+        assert len(out) == 1
+        assert coverage(game, out[0], "c") == pytest.approx(0.7)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weights_keep_coverage_below_one(self, seed):
         inst = random_toy_tsg(np.random.default_rng(600 + seed))
         game = encode_tsg(inst)
-        for s in enumerate_pure(game).strategies:
+        for s in enumerate_pure(game):
             for c in inst.categories:
                 assert coverage(game, s, c.id) <= 1.0 + 1e-12
 
