@@ -157,6 +157,12 @@ def _cmd_bench(args) -> int:
         raise ParseError(args.config, f"bad config: {exc!r}") from exc
     if not methods:
         raise ParseError(args.config, "config lists no methods")
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ParseError(args.config, f"unknown method {method!r}; "
+                             f"methods are {', '.join(METHODS)}")
+        if method in methods[:i]:
+            raise ParseError(args.config, f"method {method!r} is listed twice")
 
     # each instance is generated and digested once, for all methods
     out_rows = []

@@ -9,6 +9,7 @@ functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,8 +82,12 @@ class Target:
     def __post_init__(self):
         if not set(self.weights) <= self.cells:
             raise GameError(f"target {self.id!r} has weights outside its cells")
-        if any(w < 0 for w in self.weights.values()):
+        if not all(map(math.isfinite, self.weights.values())):
+            raise GameError(f"target {self.id!r} has non-finite weights")
+        if min(self.weights.values(), default=0.0) < 0:
             raise GameError(f"target {self.id!r} has negative weights")
+        if not (math.isfinite(self.payoff_defended) and math.isfinite(self.payoff_undefended)):
+            raise GameError(f"target {self.id!r} has non-finite payoffs")
         if self.payoff_defended < self.payoff_undefended:
             raise GameError(f"target {self.id!r} prefers being undefended")
 

@@ -27,14 +27,17 @@ as the identity.  Appending a column leaves the basic solution as it was,
 so that basis is still primal feasible, and the artificials stay banned.
 Only columns may be appended: a new variable with a nonzero lower bound, a
 row added since the state was taken, or the state of another program
-raises ``LpError``.  The primal check and the dual read-out run as after a
-cold solve.  Where the program has tied optima, a warm solve may end at
-another optimal vertex than a cold solve of the same program: the same
-objective value, other values and duals.
+raises ``LpError``.  The state holds no coefficients or costs: a warm solve
+reads both from the program as it is then, edited objective coefficients
+included.  The primal check and the dual read-out run as after a cold
+solve.  Where the program has tied optima, a warm solve may end at another
+optimal vertex than a cold solve of the same program: the same objective
+value, other values and duals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,7 +74,6 @@ class LpError(Exception):
 
 @dataclass
 class LpRow:
-    coeffs: dict[int, float]
     relation: str  # "<=", "=", ">="
     rhs: float
     label: str = ""
@@ -79,16 +81,21 @@ class LpRow:
 
 @dataclass
 class LinearProgram:
-    """max c.x subject to rows, with x >= lower (finite, default 0)."""
+    """max c.x subject to rows, with x >= lower (finite, default 0).
+
+    The coefficients live only in ``entries``, in the order they came in:
+    ``add_row``'s in its dict's order and ``add_column``'s by row, each
+    checked once on the way in.  ``rows`` holds relations, rhs and labels."""
 
     num_vars: int
     objective: np.ndarray = None
-    rows: list[LpRow] = field(default_factory=list)
     lower: np.ndarray = None
-    # the coefficients of each variable appended by add_column, by row
-    columns: dict[int, dict[int, float]] = field(default_factory=dict, init=False, repr=False)
+    rows: list[LpRow] = field(default_factory=list, init=False)
 
     def __post_init__(self):
+        # the entries added since ``entries`` was last read, as (row, var, coeff) lists
+        self._new = ([], [], [])
+        self._entries = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
         if self.objective is None:
             self.objective = np.zeros(self.num_vars)
         else:
@@ -96,13 +103,25 @@ class LinearProgram:
         if self.lower is None:
             self.lower = np.zeros(self.num_vars)
 
+    @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every coefficient as (row, var, coeff) arrays, not to be written
+        to.  A read extends them by the entries added since the last."""
+        if self._new[0]:
+            self._entries = tuple(np.concatenate([old, np.array(new, old.dtype)])
+                                  for old, new in zip(self._entries, self._new))
+            self._new = ([], [], [])
+        return self._entries
+
     def add_row(self, coeffs: dict[int, float], relation: str, rhs: float, label: str = "") -> None:
         if relation not in ("<=", "=", ">="):
             raise LpError(f"unknown relation {relation!r}")
         for j in coeffs:
             if not 0 <= j < self.num_vars:
                 raise LpError(f"coefficient on unknown variable {j}")
-        self.rows.append(LpRow(dict(coeffs), relation, float(rhs), label))
+        i = len(self.rows)
+        self._add([i] * len(coeffs), list(coeffs), list(coeffs.values()), f"row {label or i}")
+        self.rows.append(LpRow(relation, float(rhs), label))
 
     def add_column(self, coeffs_by_row: dict[int, float], cost: float) -> int:
         """Append a variable x >= 0 with the given row coefficients and
@@ -111,13 +130,18 @@ class LinearProgram:
             if not 0 <= r < len(self.rows):
                 raise LpError(f"coefficient on unknown row {r}")
         j = self.num_vars
+        rows = sorted(coeffs_by_row)
+        self._add(rows, [j] * len(rows), [coeffs_by_row[r] for r in rows], f"column {j}")
         self.num_vars += 1
         self.objective = np.append(self.objective, float(cost))
         self.lower = np.append(self.lower, 0.0)
-        self.columns[j] = {r: float(a) for r, a in sorted(coeffs_by_row.items())}
-        for r, a in self.columns[j].items():
-            self.rows[r].coeffs[j] = a
         return j
+
+    def _add(self, rows: list, var: list, coeffs: list, where: str) -> None:
+        if not all(map(math.isfinite, coeffs)):
+            raise LpError(f"{where} has non-finite coefficient")
+        for new, part in zip(self._new, (rows, var, coeffs)):
+            new.extend(part)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +160,11 @@ class LpState:
     tableau: np.ndarray
     rhs: np.ndarray
     basis: np.ndarray
-    costs: np.ndarray    # phase-2 cost of every tableau column
     banned: np.ndarray   # artificial columns
     flip: np.ndarray
     marker: np.ndarray
     col_of: np.ndarray
     shift: np.ndarray
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]  # program rows: (row, var, coeff)
-    row_rhs: np.ndarray    # program rows' right-hand sides
-    row_sense: np.ndarray  # program rows' relations, as in _SENSE
 
 
 @dataclass
@@ -192,7 +212,9 @@ def solve_lp(lp: LinearProgram, warm: LpState | None = None) -> LpSolution:
                         if s.banned[basis[i]] and b[i] > FEAS_TOL)
             return LpSolution("infeasible", None, None, None, bad, pivots=pivots)
 
-    status, phase2 = _pivot_loop(T, b, basis, s.costs, banned=s.banned, cap=cap)
+    costs = np.zeros(total)
+    costs[s.col_of] = lp.objective
+    status, phase2 = _pivot_loop(T, b, basis, costs, banned=s.banned, cap=cap)
     pivots += phase2
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots=pivots)
@@ -204,10 +226,10 @@ def solve_lp(lp: LinearProgram, warm: LpState | None = None) -> LpSolution:
 
     # Reduced cost of a row's slack/artificial column is -y_i for the
     # canonical row; undo the sign flip applied during canonicalization.
-    red = s.costs - T.T @ s.costs[basis]
+    red = costs - T.T @ costs[basis]
     duals = -red[s.marker] * s.flip
 
-    _verify_primal(lp, s, values)
+    _verify_primal(lp, values)
     return LpSolution("optimal", values, objective_value, duals, pivots=pivots, state=s)
 
 
@@ -217,20 +239,8 @@ def _tableau(lp: LinearProgram) -> LpState:
     artificial for ``=``; the slacks and artificials form the basis."""
     nr, nv = len(lp.rows), lp.num_vars
     shift = np.array(lp.lower, dtype=float)
-
-    counts = [len(row.coeffs) for row in lp.rows]
-    nnz = sum(counts)
-    e_row = np.repeat(np.arange(nr), counts)
-    e_var = np.fromiter((j for row in lp.rows for j in row.coeffs), np.int64, nnz)
-    e_val = np.fromiter((a for row in lp.rows for a in row.coeffs.values()), float, nnz)
-    finite = np.isfinite(e_val)
-    if not finite.all():
-        i = int(e_row[np.argmin(finite)])
-        raise LpError(f"row {lp.rows[i].label or i} has non-finite coefficient")
-
-    rhs = np.array([row.rhs for row in lp.rows], dtype=float)
-    sense = np.array([_SENSE[row.relation] for row in lp.rows], dtype=np.int64)
-    b = rhs.copy()
+    e_row, e_var, e_val = lp.entries
+    b, sense = _rhs_and_sense(lp)
     # ufunc.at subtracts in entry order, term by term, as a loop over each row would
     np.subtract.at(b, e_row, e_val * shift[e_var])
     flip = np.where(b < 0, -1.0, 1.0)
@@ -254,17 +264,12 @@ def _tableau(lp: LinearProgram) -> LpState:
     T[surplus.nonzero()[0], first[surplus]] = -1.0
     banned = np.zeros(total, dtype=bool)
     banned[marker[(sense == 0) | surplus]] = True
-
-    costs = np.zeros(total)
-    costs[:nv] = lp.objective
-    return LpState(lp, T, b, marker.copy(), costs, banned, flip, marker,
-                   np.arange(nv), shift, (e_row, e_var, e_val), rhs, sense)
+    return LpState(lp, T, b, marker.copy(), banned, flip, marker, np.arange(nv), shift)
 
 
 def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
     """``s`` with the variables appended to ``lp`` since it was taken: each
-    new tableau column is B^-1 times its canonical column.  The coefficients
-    come from ``lp.columns``, so no row is searched for them."""
+    new tableau column is B^-1 times its canonical column, from its entries."""
     if s.program is not lp:
         raise LpError("warm state was taken from another program")
     nr, old = s.tableau.shape
@@ -274,30 +279,17 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
     nv = len(s.col_of)
     if np.any(lp.lower[nv:] != 0.0):
         raise LpError("a warm start takes only appended variables with lower bound 0")
-    new = [lp.columns[j] for j in range(nv, lp.num_vars)]
-    counts = [len(col) for col in new]
-    nnz = sum(counts)
-    e_var = np.repeat(np.arange(nv, lp.num_vars), counts)
-    e_row = np.fromiter((i for col in new for i in col), np.int64, nnz)
-    e_val = np.fromiter((a for col in new for a in col.values()), float, nnz)
-    finite = np.isfinite(e_val)
-    if not finite.all():
-        i = int(e_row[np.argmin(finite)])
-        raise LpError(f"row {lp.rows[i].label or i} has non-finite coefficient")
-
+    e_row, e_var, e_val = lp.entries
+    new = e_var >= nv
     q = lp.num_vars - nv
     a = np.zeros((nr, q))
-    a[e_row, e_var - nv] = e_val
+    a[e_row[new], e_var[new] - nv] = e_val[new]
     cols = s.tableau[:, s.marker] @ (s.flip[:, None] * a)
-    rows, var, val = s.entries
     return replace(
-        s, tableau=np.hstack([s.tableau, cols]), rhs=s.rhs.copy(),
-        basis=s.basis.copy(), costs=np.concatenate([s.costs, lp.objective[nv:]]),
+        s, tableau=np.hstack([s.tableau, cols]), rhs=s.rhs.copy(), basis=s.basis.copy(),
         banned=np.concatenate([s.banned, np.zeros(q, dtype=bool)]),
         col_of=np.concatenate([s.col_of, old + np.arange(q)]),
-        shift=np.concatenate([s.shift, np.zeros(q)]),
-        entries=(np.concatenate([rows, e_row]), np.concatenate([var, e_var]),
-                 np.concatenate([val, e_val])))
+        shift=np.concatenate([s.shift, np.zeros(q)]))
 
 
 def _pivot_loop(T, b, basis, costs, banned, cap) -> tuple[str, int]:
@@ -374,16 +366,22 @@ def _pivot_loop(T, b, basis, costs, banned, cap) -> tuple[str, int]:
     raise LpError(f"simplex exceeded iteration cap of {cap} pivots")
 
 
-def _verify_primal(lp: LinearProgram, s: LpState, values: np.ndarray) -> None:
-    """Check ``values`` against every row and lower bound of ``lp``, as the
-    state ``s`` of its solve holds them.  ``s.entries`` are the rows'
-    coefficients as (row, var, coeff) arrays, each row's in the order of its
-    coefficient dict; ``np.bincount`` adds each row's terms in that order,
-    as a loop over the row would."""
+def _rhs_and_sense(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' right-hand sides and relations, the latter as in _SENSE."""
+    rhs = np.array([row.rhs for row in lp.rows], dtype=float)
+    sense = np.array([_SENSE[row.relation] for row in lp.rows], dtype=np.int64)
+    return rhs, sense
+
+
+def _verify_primal(lp: LinearProgram, values: np.ndarray) -> None:
+    """Check ``values`` against every row and lower bound of ``lp``.
+    ``np.bincount`` adds each row's terms in entry order, which is the order
+    a loop over the row's own coefficients, then its appended columns',
+    would take."""
     tol = FEAS_TOL * max(1.0, float(np.max(np.abs(values))))
-    e_row, e_var, e_val = s.entries
+    e_row, e_var, e_val = lp.entries
     act = np.bincount(e_row, weights=e_val * values[e_var], minlength=len(lp.rows))
-    rhs, sense = s.row_rhs, s.row_sense
+    rhs, sense = _rhs_and_sense(lp)
     bad = np.where(sense > 0, act > rhs + tol,
                    np.where(sense < 0, act < rhs - tol, np.abs(act - rhs) > tol))
     if bad.any():

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,27 @@ class TestSolveCommand:
         assert main(["solve", "--instance", str(fams_file), "--method", "marginal-bound"]) == 3
         assert "GiB limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["marginal-bound", "exact"])
+    @pytest.mark.parametrize("key, value", [("weights", float("nan")),
+                                            ("u_undef", -float("inf")),
+                                            ("u_def", float("inf"))])
+    def test_non_finite_target_data_is_named(self, tmp_path, capsys, fig1b_fams,
+                                             method, key, value):
+        data = game_to_json(encode_fams(fig1b_fams))
+        target = data["targets"][1]
+        if key == "weights":
+            target["weights"][0] = value
+        else:
+            target[key] = value
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--instance", str(path), "--method", method]) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert f"target {target['id']!r} has non-finite" in err
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -270,8 +292,12 @@ class TestBenchCommand:
                      "base": {"planes": 2}}), "'planes'"),
         (json.dumps({"family": "planes", "sizes": [2], "methods": ["rand"]}),
          "unknown family 'planes'"),
+        (json.dumps({"family": "fams", "sizes": [2], "methods": ["rand", "bogus"]}),
+         "unknown method 'bogus'"),
+        (json.dumps({"family": "fams", "sizes": [2], "methods": ["rand", "exact", "rand"]}),
+         "method 'rand' is listed twice"),
     ], ids=["missing-file", "bad-json", "no-family", "scalar-sizes", "unknown-base-key",
-            "unknown-family"])
+            "unknown-family", "unknown-method", "repeated-method"])
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "bench.json"
         if text is not None:

@@ -129,8 +129,9 @@ def _dual_of(lp):
     dual = LinearProgram(len(lp.rows))
     for i, row in enumerate(lp.rows):
         dual.objective[i] = -row.rhs  # maximize the negated objective
+    e_row, e_var, e_val = (e.tolist() for e in lp.entries)
     for j in range(lp.num_vars):
-        coeffs = {i: row.coeffs[j] for i, row in enumerate(lp.rows) if j in row.coeffs}
+        coeffs = {i: a for i, v, a in zip(e_row, e_var, e_val) if v == j}
         dual.add_row(coeffs, ">=", float(lp.objective[j]))
     return dual
 
@@ -152,8 +153,7 @@ def test_duals_match_shadow_prices(seed):
     lp = _random_feasible_bounded(rng)
     sol = solve_lp(lp)
     # complementary slackness: positive dual implies a tight row
-    for i, row in enumerate(lp.rows):
-        activity = sum(a * sol.values[j] for j, a in row.coeffs.items())
+    for i, (row, activity) in enumerate(zip(lp.rows, _dense(lp) @ sol.values)):
         if sol.duals[i] > 1e-7:
             assert activity == pytest.approx(row.rhs, abs=1e-6)
 
@@ -180,10 +180,18 @@ def _append_random_columns(rng, lp, count, m):
         lp.add_column(coeffs, float(rng.uniform(-1, 2)))
 
 
+def _row_coeffs(lp):
+    """Each row's coefficients as a dict, in the program's entry order."""
+    out = [{} for _ in lp.rows]
+    for i, j, a in zip(*(e.tolist() for e in lp.entries)):
+        out[i][j] = a
+    return out
+
+
 def _copy(lp):
     out = LinearProgram(lp.num_vars, lp.objective.copy(), lower=lp.lower.copy())
-    for row in lp.rows:
-        out.add_row(row.coeffs, row.relation, row.rhs, row.label)
+    for row, coeffs in zip(lp.rows, _row_coeffs(lp)):
+        out.add_row(coeffs, row.relation, row.rhs, row.label)
     return out
 
 
@@ -202,9 +210,8 @@ def _assert_dual_certificate(lp, sol, tol=1e-7):
 
 def _dense(lp):
     A = np.zeros((len(lp.rows), lp.num_vars))
-    for i, row in enumerate(lp.rows):
-        for j, a in row.coeffs.items():
-            A[i, j] = a
+    e_row, e_var, e_val = lp.entries
+    A[e_row, e_var] = e_val
     return A
 
 
@@ -323,19 +330,46 @@ def test_add_column_on_unknown_row():
         lp.add_column({1: 1.0}, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_coefficient_is_refused_where_it_comes_in(bad):
+    lp = LinearProgram(2)
+    with pytest.raises(LpError, match="row cap has non-finite coefficient"):
+        lp.add_row({0: 1.0, 1: bad}, "<=", 1.0, label="cap")
+    lp.add_row({0: 1.0}, "<=", 1.0)
+    with pytest.raises(LpError, match="column 2 has non-finite coefficient"):
+        lp.add_column({0: bad}, 0.0)
+    # nothing of either refused call was kept
+    assert (len(lp.rows), lp.num_vars, len(lp.objective)) == (1, 2, 2)
+    assert [e.tolist() for e in lp.entries] == [[0], [0], [1.0]]
+
+
+def test_warm_solve_reads_an_edited_objective():
+    lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
+    lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0)
+    lp.add_row({0: 2.0, 1: 1.0}, "<=", 4.0)
+    state = solve_lp(lp).state
+    lp.objective[0] = 4.0
+    warm = solve_lp(lp, warm=state)
+    cold = solve_lp(_copy(lp))
+    assert cold.objective_value == pytest.approx(8.0)
+    assert warm.status == "optimal"
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+    assert warm.values == pytest.approx(cold.values, abs=1e-12)
+    _assert_dual_certificate(lp, warm)
+
+
 def test_perturbed_solution_fails_the_primal_check():
     lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
     lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0, label="cap")
     lp.add_row({0: 1.0, 1: -1.0}, "=", 0.0, label="tie")
     sol = solve_lp(lp)
-    state = sol.state
-    lp_mod._verify_primal(lp, state, sol.values)
+    lp_mod._verify_primal(lp, sol.values)
     with pytest.raises(LpError, match="violates cap"):
-        lp_mod._verify_primal(lp, state, sol.values * 1.001)
+        lp_mod._verify_primal(lp, sol.values * 1.001)
     with pytest.raises(LpError, match="violates tie"):
-        lp_mod._verify_primal(lp, state, sol.values - [1e-3, 0.0])
+        lp_mod._verify_primal(lp, sol.values - [1e-3, 0.0])
     with pytest.raises(LpError, match="variable bounds"):
-        lp_mod._verify_primal(lp, state, np.array([-1.0, -1.0]))
+        lp_mod._verify_primal(lp, np.array([-1.0, -1.0]))
 
 
 def test_oversized_tableau_is_refused_before_allocating():
@@ -446,8 +480,8 @@ def _block_program(rng, blocks, n, m):
     free_rows = []
     for k, part in enumerate(parts):
         free_rows.append(range(len(lp.rows), len(lp.rows) + m))
-        for row in part.rows:
-            lp.add_row({j + k * n: a for j, a in row.coeffs.items()}, row.relation, row.rhs)
+        for row, coeffs in zip(part.rows, _row_coeffs(part)):
+            lp.add_row({j + k * n: a for j, a in coeffs.items()}, row.relation, row.rhs)
     return lp, free_rows
 
 
