@@ -47,6 +47,9 @@ class AssignmentConstraint:
     def __post_init__(self):
         if not self.cells:
             raise GameError(f"constraint {self.label!r} has no cells")
+        # a comparison with inf is exact, so integers of any size pass
+        if not all(abs(v) < math.inf for v in (self.lower, self.upper)):
+            raise GameError(f"constraint {self.label!r} has non-finite bounds")
         if not (0 <= self.lower <= self.upper):
             raise GameError(f"constraint {self.label!r} has bad bounds [{self.lower}, {self.upper}]")
         if int(self.lower) != self.lower or int(self.upper) != self.upper:
@@ -54,6 +57,8 @@ class AssignmentConstraint:
         if self.coeffs:
             if not set(self.coeffs) <= self.cells:
                 raise GameError(f"constraint {self.label!r} has coefficients outside its cells")
+            if not all(abs(c) < math.inf for c in self.coeffs.values()):
+                raise GameError(f"constraint {self.label!r} has non-finite coefficients")
             if any(int(c) != c or c < 1 for c in self.coeffs.values()):
                 raise GameError(f"constraint {self.label!r} coefficients must be positive integers")
 

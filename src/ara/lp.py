@@ -11,20 +11,36 @@ program gives bit-identical output.  A program whose dense tableau would
 pass ``MAX_TABLEAU_BYTES`` is refused with an ``LpError`` before anything
 of that size is allocated.
 
-Cost of a pivot.  Pricing is one matrix-vector product over the whole
-tableau.  The ratio test divides over the eligible rows only.  The
-elimination costs (rows the entering column touches) x (columns): when
-fewer than half the rows are touched, only those rows are updated, and the
-whole tableau otherwise (``_SPARSE_SHARE``).  A row with a zero factor
-would be left as it is either way, so both give the same tableau.
+Cost of a pivot.  The tableau stores the nonbasic columns only, the
+compact or "dictionary" tableau (Chvatal, *Linear Programming*, 1983,
+ch. 7-8): a basic column is a unit vector, which elimination leaves as it
+is.  ``LpState.nonbasic`` maps each stored column to its index in the full
+layout, and Dantzig's and Bland's rules break ties by the lowest full
+index, as they did over the full tableau.  Pricing is one matrix-vector
+product over the stored columns.  The ratio test divides over the eligible
+rows only.  The elimination costs (rows the entering column touches) x
+(stored columns): when fewer than half the rows are touched, only those
+rows are updated, and the whole tableau otherwise (``_SPARSE_SHARE``).  A
+row with a zero factor would be left as it is either way, so both give the
+same tableau, up to the sign of a zero, which reaches no output.  Then the
+leaving variable's unit column, pivoted as the full tableau pivots it
+(0.0 - factor * (1 / pivot), and 1 / pivot in the pivot row), takes the
+entering column's slot.  Pivots, values, duals and warm starts are bit for
+bit those of the full-tableau solver this one replaced.
 
 Warm start.  An optimal solve returns its final tableau as an ``LpState``
 on the solution.  ``LinearProgram.add_column`` appends a variable with
 lower bound 0, so it needs no shift, and ``solve_lp(prog, warm=state)``
 then appends B^-1 a for each new column and runs phase 2 only, from the
-old basis.  B^-1 is the tableau's slack/artificial columns, which started
-as the identity.  Appending a column leaves the basic solution as it was,
-so that basis is still primal feasible, and the artificials stay banned.
+old basis.  B^-1 is the slack/artificial columns of the full tableau,
+which started as the identity.  ``_full_tableau`` rebuilds that tableau,
+C-ordered, from the stored columns and the unit vectors of the basis; B^-1
+is gathered from it, which lays it out in Fortran order, and the dual
+read-out takes its matrix-vector product over it.  Both products then run
+the BLAS kernels they ran on the full tableau: over the stored columns
+alone the duals, and from a C-ordered B^-1 the new columns, came out up to
+1 ulp apart.  Appending a column leaves the basic solution as it was, so
+that basis is still primal feasible, and the artificials stay banned.
 Only columns may be appended: a new variable with a nonzero lower bound, a
 row added since the state was taken, or the state of another program
 raises ``LpError``.  The state holds no coefficients or costs: a warm solve
@@ -57,7 +73,10 @@ _STALL_PIVOTS = 40
 # row-sparse update gathers and scatters the rows it touches: on 163 x 400
 # and 201 x 600 tableaux (2-vCPU x86-64 KVM guest, one BLAS thread) it took
 # 0.1x the whole-tableau time at 3 % of the rows, 0.7x at 50 %, 1.15x at
-# 75 % and 5-6x at 95-100 %.
+# 75 % and 5-6x at 95-100 %.  Rechecked at the widths of the stored columns,
+# 201 x 202 and 163 x 242: 0.2-0.3x at 3 %, 0.8-0.9x at 50 %, 0.9x at 60 %,
+# 1.05-1.2x at 75 % and 4-5x at 95-100 %, so the share stays.  Outputs do not
+# depend on it.
 _SPARSE_SHARE = 0.5
 
 # sense of a row: +1 for <=, 0 for =, -1 for >=
@@ -120,8 +139,11 @@ class LinearProgram:
             if not 0 <= j < self.num_vars:
                 raise LpError(f"coefficient on unknown variable {j}")
         i = len(self.rows)
+        rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise LpError(f"row {label or i} has non-finite right-hand side {rhs}")
         self._add([i] * len(coeffs), list(coeffs), list(coeffs.values()), f"row {label or i}")
-        self.rows.append(LpRow(relation, float(rhs), label))
+        self.rows.append(LpRow(relation, rhs, label))
 
     def add_column(self, coeffs_by_row: dict[int, float], cost: float) -> int:
         """Append a variable x >= 0 with the given row coefficients and
@@ -149,15 +171,19 @@ class LpState:
     """The final canonical tableau of an optimal solve, for a warm start.
 
     Tableau rows are the program's rows; rows with a negative right-hand
-    side were negated (``flip``).  Variable j sits in tableau column
-    ``col_of[j]``, shifted down by its lower bound ``shift[j]``.
-    ``marker[i]`` is the slack or artificial column that started as row
-    i's identity column.  A warm solve copies these arrays and never
-    writes to them.
+    side were negated (``flip``).  Columns are numbered in the full layout:
+    the variables, then each row's slack, surplus or artificial.  Variable j
+    is column ``col_of[j]``, shifted down by its lower bound ``shift[j]``,
+    and ``marker[i]`` is the slack or artificial column that started as row
+    i's identity column.  ``tableau`` stores only the nonbasic columns: its
+    column k is full column ``nonbasic[k]``.  Full column ``basis[i]`` is
+    row i's unit vector and is not stored.  A warm solve copies these
+    arrays and never writes to them.
     """
 
     program: LinearProgram
     tableau: np.ndarray
+    nonbasic: np.ndarray
     rhs: np.ndarray
     basis: np.ndarray
     banned: np.ndarray   # artificial columns
@@ -196,14 +222,15 @@ def solve_lp(lp: LinearProgram, warm: LpState | None = None) -> LpSolution:
         j = int(np.argmax(infinite))
         raise LpError(f"variable {j} has lower bound {lp.lower[j]}; lower bounds must be finite")
     s = _tableau(lp) if warm is None else _append_columns(warm, lp)
-    T, b, basis = s.tableau, s.rhs, s.basis
-    nr, total = T.shape
+    T, b, basis, nonbasic = s.tableau, s.rhs, s.basis, s.nonbasic
+    nr = len(b)
+    total = nr + T.shape[1]
     cap = PIVOT_CAP_FACTOR * (nr + total)
 
     pivots = 0
     if warm is None and np.any(s.banned):
         c1 = np.where(s.banned, -1.0, 0.0)
-        status, pivots = _pivot_loop(T, b, basis, c1, banned=None, cap=cap)
+        status, pivots = _pivot_loop(T, b, basis, nonbasic, c1, banned=None, cap=cap)
         if status != "optimal":
             raise LpError("phase-1 auxiliary program cannot be unbounded")
         art_val = sum(b[i] for i in range(nr) if s.banned[basis[i]])
@@ -214,7 +241,7 @@ def solve_lp(lp: LinearProgram, warm: LpState | None = None) -> LpSolution:
 
     costs = np.zeros(total)
     costs[s.col_of] = lp.objective
-    status, phase2 = _pivot_loop(T, b, basis, costs, banned=s.banned, cap=cap)
+    status, phase2 = _pivot_loop(T, b, basis, nonbasic, costs, banned=s.banned, cap=cap)
     pivots += phase2
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots=pivots)
@@ -226,7 +253,7 @@ def solve_lp(lp: LinearProgram, warm: LpState | None = None) -> LpSolution:
 
     # Reduced cost of a row's slack/artificial column is -y_i for the
     # canonical row; undo the sign flip applied during canonicalization.
-    red = costs - T.T @ costs[basis]
+    red = costs - _full_tableau(s).T @ costs[basis]
     duals = -red[s.marker] * s.flip
 
     _verify_primal(lp, values)
@@ -258,13 +285,14 @@ def _tableau(lp: LinearProgram) -> LpState:
                       f"{nr * total * 8 / 2**30:.1f} GiB, past the "
                       f"{MAX_TABLEAU_BYTES / 2**30:g} GiB limit")
 
-    T = np.zeros((nr, total))
+    sur = surplus.nonzero()[0]
+    nonbasic = np.concatenate([np.arange(nv), first[sur]])
+    T = np.zeros((nr, len(nonbasic)))
     T[e_row, e_var] = e_val * flip[e_row]
-    T[np.arange(nr), marker] = 1.0
-    T[surplus.nonzero()[0], first[surplus]] = -1.0
+    T[sur, nv + np.arange(len(sur))] = -1.0
     banned = np.zeros(total, dtype=bool)
     banned[marker[(sense == 0) | surplus]] = True
-    return LpState(lp, T, b, marker.copy(), banned, flip, marker, np.arange(nv), shift)
+    return LpState(lp, T, nonbasic, b, marker.copy(), banned, flip, marker, np.arange(nv), shift)
 
 
 def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
@@ -272,65 +300,89 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
     new tableau column is B^-1 times its canonical column, from its entries."""
     if s.program is not lp:
         raise LpError("warm state was taken from another program")
-    nr, old = s.tableau.shape
+    nr = len(s.rhs)
     if len(lp.rows) != nr:
         raise LpError(f"warm state has {nr} rows, the program {len(lp.rows)}: "
                       "rows were added since it was taken")
     nv = len(s.col_of)
-    if np.any(lp.lower[nv:] != 0.0):
+    if (lp.lower[nv:] != 0.0).any():
         raise LpError("a warm start takes only appended variables with lower bound 0")
     e_row, e_var, e_val = lp.entries
     new = e_var >= nv
     q = lp.num_vars - nv
     a = np.zeros((nr, q))
     a[e_row[new], e_var[new] - nv] = e_val[new]
-    cols = s.tableau[:, s.marker] @ (s.flip[:, None] * a)
+    cols = _full_tableau(s)[:, s.marker] @ (s.flip[:, None] * a)
+    added = nr + s.tableau.shape[1] + np.arange(q)
     return replace(
-        s, tableau=np.hstack([s.tableau, cols]), rhs=s.rhs.copy(), basis=s.basis.copy(),
+        s, tableau=np.hstack([s.tableau, cols]), nonbasic=np.concatenate([s.nonbasic, added]),
+        rhs=s.rhs.copy(), basis=s.basis.copy(),
         banned=np.concatenate([s.banned, np.zeros(q, dtype=bool)]),
-        col_of=np.concatenate([s.col_of, old + np.arange(q)]),
+        col_of=np.concatenate([s.col_of, added]),
         shift=np.concatenate([s.shift, np.zeros(q)]))
 
 
-def _pivot_loop(T, b, basis, costs, banned, cap) -> tuple[str, int]:
-    """Primal simplex iterations on the canonical tableau; returns the
-    status and the number of pivots made.
+def _full_tableau(s: LpState) -> np.ndarray:
+    """The full tableau of ``s``, C-ordered: the stored columns at
+    ``nonbasic`` and row i's unit vector at column ``basis[i]`` (see the
+    module docstring for why the products start from it)."""
+    nr, nb = s.tableau.shape
+    full = np.zeros((nr, nr + nb))
+    full[:, s.nonbasic] = s.tableau
+    full[np.arange(nr), s.basis] = 1.0
+    return full
 
-    ``banned`` marks artificial columns during phase 2: they may not enter,
-    and a basic artificial row crossed by the entering column leaves at
-    ratio zero so the artificial can never grow back above zero.
+
+def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
+    """Primal simplex iterations on the canonical tableau of the nonbasic
+    columns; returns the status and the number of pivots made.
+
+    ``costs`` and ``banned`` are indexed by full column.  ``banned`` marks
+    artificial columns during phase 2: they may not enter, and a basic
+    artificial row crossed by the entering column leaves at ratio zero so
+    the artificial can never grow back above zero.  Ties between entering
+    columns go to the lowest full column index.
     """
-    nr, total = T.shape
+    nr = len(b)
+    if T.shape[1] == 0:  # no column can enter
+        return "optimal", 0
     art_rows = np.zeros(nr, dtype=bool)  # phase 1 has no banned columns
+    # the costs of the basic and the nonbasic columns; a banned column
+    # costs -inf, so that its reduced cost is -inf and it never enters
+    priced = costs if banned is None else np.where(banned, -np.inf, costs)
+    basic_costs = costs[basis]
+    nb_costs = priced[nonbasic]
     bland = False
     stall = 0
-    last_obj = float(costs[basis] @ b)
+    last_obj = float(basic_costs @ b)
     for pivots in range(cap):
-        red = costs - T.T @ costs[basis]
-        if banned is not None:
-            red[banned] = -np.inf
-        red[basis] = -np.inf
+        red = nb_costs - T.T @ basic_costs
+        # the array methods skip the dispatch of their np.* functions,
+        # which on the small column-generation masters is much of a pivot
         if bland:
-            cand = np.nonzero(red > OPT_TOL)[0]
+            cand = (red > OPT_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", pivots
-            enter = int(cand[0])
+            enter = int(cand[nonbasic[cand].argmin()])
         else:
-            enter = int(np.argmax(red))
+            enter = int(red.argmax())
             if red[enter] <= OPT_TOL:
                 return "optimal", pivots
+            ties = (red == red[enter]).nonzero()[0]
+            if ties.size > 1:
+                enter = int(ties[nonbasic[ties].argmin()])
 
         col = T[:, enter]
         elig = col > FEAS_TOL
         if banned is not None:
             art_rows = banned[basis] & (np.abs(col) > FEAS_TOL)
             elig |= art_rows
-        idx = np.flatnonzero(elig)
+        idx = elig.nonzero()[0]
         if idx.size == 0:
             return "unbounded", pivots
         ratios = b[idx] / col[idx]
         ratios[art_rows[idx]] = 0.0
-        ties = idx[ratios <= ratios.min() + 1e-12]
+        ties = idx[ratios <= ratios[ratios.argmin()] + 1e-12]
         if ties.size == 1:
             leave = int(ties[0])
         else:
@@ -344,7 +396,7 @@ def _pivot_loop(T, b, basis, costs, banned, cap) -> tuple[str, int]:
         factors[leave] = 0.0
         # a zero factor leaves its row as it is, so only the rows the
         # entering column touches are eliminated (see _SPARSE_SHARE)
-        rows = np.flatnonzero(factors)
+        rows = factors.nonzero()[0]
         if rows.size < _SPARSE_SHARE * nr:
             T[rows] -= np.outer(factors[rows], T[leave])
             b[rows] -= factors[rows] * b[leave]
@@ -352,9 +404,17 @@ def _pivot_loop(T, b, basis, costs, banned, cap) -> tuple[str, int]:
             T -= np.outer(factors, T[leave])
             b -= factors * b[leave]
         np.maximum(b, 0.0, out=b)
-        basis[leave] = enter
+        # the leaving variable's unit column, pivoted as the whole tableau
+        # would pivot it, takes the entering column's slot
+        inv = 1.0 / piv
+        factors *= inv
+        np.subtract(0.0, factors, out=col)
+        col[leave] = inv
+        left = basis[leave]
+        basis[leave], nonbasic[enter] = nonbasic[enter], left
+        basic_costs[leave], nb_costs[enter] = nb_costs[enter], priced[left]
 
-        cur = float(costs[basis] @ b)
+        cur = float(basic_costs @ b)
         if cur > last_obj + 1e-12:
             bland = False
             stall = 0

@@ -18,7 +18,7 @@ from ara.jsonio import (
     tsg_from_json,
     tsg_to_json,
 )
-from ara.fams import encode_fams
+from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.marginal import MarginalSolution, solve_marginal
 from ara.reports import SolveReport
 
@@ -175,6 +175,22 @@ class TestSolveCommand:
         assert caught == []
         err = capsys.readouterr().err
         assert f"target {target['id']!r} has non-finite" in err
+
+    @pytest.mark.parametrize("key, value, what", [("upper", float("inf"), "bounds"),
+                                                  ("lower", -float("inf"), "bounds"),
+                                                  ("upper", float("nan"), "bounds"),
+                                                  ("coeffs", float("inf"), "coefficients")])
+    def test_non_finite_constraint_data_is_named(self, tmp_path, capsys, key, value, what):
+        inst = FamsInstance(1, (Schedule("s1", frozenset({"f1"})),),
+                            (FlightSpec("f1", -1.0, -5.0),))
+        data = game_to_json(encode_fams(inst))
+        constraint = data["constraints"][0]
+        constraint[key] = [[0, 0, value]] if key == "coeffs" else value
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
+        err = capsys.readouterr().err
+        assert f"constraint {constraint['label']!r} has non-finite {what}" in err
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -343,6 +343,17 @@ def test_non_finite_coefficient_is_refused_where_it_comes_in(bad):
     assert [e.tolist() for e in lp.entries] == [[0], [0], [1.0]]
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_rhs_is_refused_where_it_comes_in(bad):
+    lp = LinearProgram(2)
+    lp.add_row({0: 1.0}, "<=", 1.0)
+    with pytest.raises(LpError, match="row cap has non-finite right-hand side"):
+        lp.add_row({0: 1.0, 1: 1.0}, "<=", bad, label="cap")
+    assert (len(lp.rows), lp.num_vars) == (1, 2)
+    assert [e.tolist() for e in lp.entries] == [[0], [0], [1.0]]
+    assert solve_lp(lp).status == "optimal"
+
+
 def test_warm_solve_reads_an_edited_objective():
     lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
     lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0)
@@ -387,15 +398,20 @@ def test_oversized_tableau_is_refused_before_allocating():
     assert peak < 50 * 2**20
 
 
-# The row-sparse pivot loop against the dense loop it replaced.  Both must
-# reach the same tableau bit for bit: a zero factor leaves its row as it is,
-# and the eligible-rows ratio test forms the same quotients.
+# The pivot loop against the dense loop it replaced.  The reference runs on
+# the full tableau, basic unit columns included, with the ratio test over all
+# rows and the elimination over the whole tableau.  Both must reach the same
+# tableau, up to the sign of a zero, and the same outputs bit for bit: a zero
+# factor leaves its row as it is, the eligible-rows ratio test forms the same
+# quotients, and a basic column is a unit vector that the elimination pivots
+# as the loop writes it.
 
 def _reference_pivot_loop(T, b, basis, costs, banned, cap, events):
-    """``ara.lp._pivot_loop`` as it was before the row-sparse elimination and
-    the eligible-rows ratio test: every pivot runs the ratio test over all
-    rows and eliminates over the whole tableau.  The ``events`` lines only
-    count, in a Counter, what the solve went through."""
+    """``ara.lp._pivot_loop`` as it was before the row-sparse elimination,
+    the eligible-rows ratio test and the compact tableau: every pivot runs
+    the ratio test over all rows and eliminates over the whole tableau,
+    basic columns included.  The ``events`` lines only count, in a
+    Counter, what the solve went through."""
     nr, total = T.shape
     bland = False
     stall = 0
@@ -460,6 +476,30 @@ def _reference_pivot_loop(T, b, basis, costs, banned, cap, events):
     raise LpError(f"simplex exceeded iteration cap of {cap} pivots")
 
 
+def _full_tableau(T, basis, nonbasic):
+    """The full tableau of a stored one: its columns at ``nonbasic`` and row
+    i's unit vector at column ``basis[i]``."""
+    nr, nb = T.shape
+    full = np.zeros((nr, nr + nb))
+    full[:, nonbasic] = T
+    full[np.arange(nr), basis] = 1.0
+    return full
+
+
+def _reference_on_full_tableau(T, b, basis, nonbasic, costs, banned, cap, events, finals):
+    """``_reference_pivot_loop`` on the full tableau built from ``T``; stores
+    the nonbasic columns back in full column order and appends the final
+    full tableau to ``finals``."""
+    full = _full_tableau(T, basis, nonbasic)
+    status, pivots = _reference_pivot_loop(full, b, basis, costs, banned, cap, events)
+    is_basic = np.zeros(full.shape[1], dtype=bool)
+    is_basic[basis] = True
+    nonbasic[:] = np.flatnonzero(~is_basic)
+    T[:] = full[:, nonbasic]
+    finals.append(full)
+    return status, pivots
+
+
 @contextmanager
 def _pivot_loop(loop):
     real = lp_mod._pivot_loop
@@ -468,6 +508,37 @@ def _pivot_loop(loop):
         yield
     finally:
         lp_mod._pivot_loop = real
+
+
+def _full_width_duals(lp, sol):
+    """The duals of ``sol`` by the whole-tableau formula, on the full tableau
+    rebuilt from its state."""
+    s = sol.state
+    full = _full_tableau(s.tableau, s.basis, s.nonbasic)
+    costs = np.zeros(full.shape[1])
+    costs[s.col_of] = lp.objective
+    red = costs - full.T @ costs[s.basis]
+    return -red[s.marker] * s.flip
+
+
+def test_warm_columns_and_duals_match_the_full_width_formulas_byte_for_byte():
+    # Two layout traps, each of which puts entries of this program 1 ulp away
+    # from the whole-tableau formulas: duals from a product over the 7 stored
+    # columns alone (a count that is not a multiple of 8) and new columns
+    # from a C-ordered B^-1
+    rng = np.random.default_rng(0)
+    lp = _random_program(rng, 6, 5)
+    sol = solve_lp(lp)
+    s = sol.state
+    assert s.tableau.shape == (11, 7)
+    assert sol.duals.tobytes() == _full_width_duals(lp, sol).tobytes()
+    # one column, as the column-generation master appends them
+    _append_random_columns(rng, lp, 1, 5)
+    b_inv = _full_tableau(s.tableau, s.basis, s.nonbasic)[:, s.marker]  # Fortran-ordered
+    want = b_inv @ (s.flip[:, None] * _dense(lp)[:, -1:])
+    assert lp_mod._append_columns(s, lp).tableau[:, 7:].tobytes() == want.tobytes()
+    warm = solve_lp(lp, warm=s)
+    assert warm.duals.tobytes() == _full_width_duals(lp, warm).tobytes()
 
 
 def _block_program(rng, blocks, n, m):
@@ -505,6 +576,22 @@ def _cycling_program(rng, extra):
     return lp, [range(len(lp.rows) - 1)]
 
 
+def _integer_program(rng):
+    """Small integer costs, coefficients and right-hand sides, so that
+    reduced costs tie exactly, also between columns whose stored slots are
+    out of the order of their full indexes.  Returns the program and the
+    rows an appended column may touch."""
+    n, m = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+    lp = LinearProgram(n, objective=rng.integers(0, 3, size=n).astype(float))
+    for _ in range(m):
+        a = rng.integers(-1, 3, size=n)
+        relation = ("<=", ">=", "=")[int(rng.integers(3))] if rng.random() < 0.3 else "<="
+        lp.add_row({j: float(a[j]) for j in range(n) if a[j]}, relation,
+                   float(rng.integers(0, 4)))
+    _add_box(lp)
+    return lp, [range(m)]
+
+
 def _reference_program(kind, rng):
     if kind == "block-sparse":
         return _block_program(rng, int(rng.integers(3, 6)), int(rng.integers(2, 5)),
@@ -512,12 +599,15 @@ def _reference_program(kind, rng):
     if kind == "dense":
         n, m = int(rng.integers(3, 8)), int(rng.integers(3, 8))
         return _random_program(rng, n, m), [range(m)]
+    if kind == "integer":
+        return _integer_program(rng)
     return _cycling_program(rng, int(rng.integers(0, 4)))
 
 
 def _assert_same_solve(lp, events, warm=None, ref_warm=None):
     new = solve_lp(lp, warm=warm)
-    with _pivot_loop(partial(_reference_pivot_loop, events=events)):
+    finals = []
+    with _pivot_loop(partial(_reference_on_full_tableau, events=events, finals=finals)):
         ref = solve_lp(lp, warm=ref_warm)
     assert new.status == ref.status
     assert new.infeasible_rows == ref.infeasible_rows
@@ -527,7 +617,14 @@ def _assert_same_solve(lp, events, warm=None, ref_warm=None):
         got, want = getattr(new, name), getattr(ref, name)
         assert (got is None and want is None) or np.array_equal(got, want), name
     if new.state is not None:
-        assert np.array_equal(new.state.basis, ref.state.basis)
+        got, full = new.state, finals[-1]
+        assert np.array_equal(got.basis, ref.state.basis)
+        assert np.array_equal(np.sort(got.nonbasic), ref.state.nonbasic)
+        # equal up to the sign of a zero, which reaches no output: a pivot on
+        # a negative entry leaves -0.0 in the pivot row, and only the
+        # whole-tableau elimination turns it into +0.0 (-0.0 - 0.0 * -0.0)
+        assert np.array_equal(got.tableau, full[:, got.nonbasic])
+        assert np.array_equal(full[:, got.basis], np.eye(len(got.basis)))
     return new, ref
 
 
@@ -546,7 +643,7 @@ def _check_against_reference(kind, seed, added, events):
     _assert_same_solve(lp, events, warm=new.state, ref_warm=ref.state)
 
 
-REFERENCE_KINDS = ("block-sparse", "dense", "degenerate")
+REFERENCE_KINDS = ("block-sparse", "dense", "integer", "degenerate")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -554,6 +651,14 @@ REFERENCE_KINDS = ("block-sparse", "dense", "degenerate")
        added=st.integers(1, 4))
 def test_pivot_loop_matches_the_dense_reference_bit_for_bit(kind, seed, added):
     _check_against_reference(kind, seed, added, Counter())
+
+
+def test_entering_ties_go_to_the_lowest_full_column():
+    # each of these programs meets a tie for the entering column between
+    # columns whose stored slots are out of the order of their full indexes
+    # (one of them left the basis into another column's slot)
+    for seed in (22, 70, 150, 364):
+        _check_against_reference("integer", seed, 2, Counter())
 
 
 def test_reference_programs_reach_every_pivot_path():
