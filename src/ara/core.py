@@ -3,8 +3,16 @@
 A game allocates k assets (rows) to n objects (columns).  Assignment
 constraints bound integer cell-set sums, targets are weighted cell sets
 with defended/undefended payoffs, and adversary types partition targets.
-All types are immutable after construction and the operations are pure
-functions, so concurrent use needs no locking.
+
+A constraint or a target holds its cells as one int64 array of (row, col)
+pairs, shape (E, 2), in any order, and one array parallel to it.  Pairs do
+not depend on n, so an object carries over unchanged into a game with more
+columns.  An object checks only its scalars and the shapes of its arrays;
+the game checks every cell and value once, over all objects together
+(``CompiledGame``).
+
+All types are immutable after construction (their arrays are read-only)
+and the operations are pure functions, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -18,34 +26,61 @@ import numpy as np
 
 from ara import lp as lpmod
 
-CellIndex = tuple[int, int]
-
 MARGINAL_TOL = 1e-7
 # a game may have at most this many targets per cell
 MAX_TARGETS_FACTOR = 64
+# a game may have at most this many cells (a k x n float matrix of 1 GiB)
+MAX_CELLS = 2 ** 27
 
 
 class GameError(Exception):
     """Invalid game data or an operation on an unknown target."""
 
 
-@dataclass(frozen=True)
+def _cell_arrays(cells, values, what: str, kind: str):
+    """``cells`` as int64 (row, col) pairs, shape (E, 2), and ``values``
+    (None stays None) as one float per cell, both read-only copies; only
+    their shapes are checked here, and their contents by the game."""
+    try:
+        cells = np.array(cells)
+        values = values if values is None else np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged nesting, or not numbers
+        raise GameError(f"{what} cells must be (row, col) integer pairs and {kind} numbers") \
+            from exc
+    if not cells.size:
+        cells = np.zeros((0, 2), np.int64)
+    elif cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+        raise GameError(f"{what} cells must be (row, col) integer pairs")
+    if values is not None:
+        if values.shape != (len(cells),):
+            raise GameError(f"{what} has {values.size} {kind} for {len(cells)} cells")
+        values.flags.writeable = False
+    cells = cells.astype(np.int64, copy=False)
+    cells.flags.writeable = False
+    return cells, values
+
+
+@dataclass(frozen=True, eq=False)
 class AssignmentConstraint:
     """Integer interval bound on a weighted cell-set sum.
 
-    ``coeffs`` holds per-cell positive integer usage multiplicities; cells
-    absent from it count once.  The constraint is an equality iff
-    lower == upper.
+    ``cells`` holds the (row, col) pairs, shape (E, 2), and ``coeffs`` each
+    cell's positive integer usage multiplicity, parallel to them; None means
+    all ones.  The constraint is an equality iff lower == upper.
     """
 
-    cells: frozenset[CellIndex]
+    cells: np.ndarray
     lower: int
     upper: int
     label: str = ""
-    coeffs: dict[CellIndex, int] | None = None
+    coeffs: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.cells:
+        cells, coeffs = _cell_arrays(self.cells, self.coeffs, f"constraint {self.label!r}",
+                                     "coefficients")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "coeffs", coeffs)
+        if not len(cells):
             raise GameError(f"constraint {self.label!r} has no cells")
         # a comparison with inf is exact, so integers of any size pass
         if not all(abs(v) < math.inf for v in (self.lower, self.upper)):
@@ -54,43 +89,31 @@ class AssignmentConstraint:
             raise GameError(f"constraint {self.label!r} has bad bounds [{self.lower}, {self.upper}]")
         if int(self.lower) != self.lower or int(self.upper) != self.upper:
             raise GameError(f"constraint {self.label!r} bounds must be integers")
-        if self.coeffs:
-            if not set(self.coeffs) <= self.cells:
-                raise GameError(f"constraint {self.label!r} has coefficients outside its cells")
-            if not all(abs(c) < math.inf for c in self.coeffs.values()):
-                raise GameError(f"constraint {self.label!r} has non-finite coefficients")
-            if any(int(c) != c or c < 1 for c in self.coeffs.values()):
-                raise GameError(f"constraint {self.label!r} coefficients must be positive integers")
 
     @property
     def is_equality(self) -> bool:
         return self.lower == self.upper
 
-    def sorted_cells(self) -> list[CellIndex]:
-        return sorted(self.cells)
-
-    def coeff(self, cell: CellIndex) -> int:
-        return self.coeffs.get(cell, 1) if self.coeffs else 1
-
     def name(self) -> str:
         return self.label or f"constraint over {len(self.cells)} cells"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Target:
+    """A weighted cell set: ``cells`` holds the (row, col) pairs, shape
+    (E, 2), and ``weights`` one weight per cell; a zero weight is a cell
+    with no weight."""
+
     id: str
-    cells: frozenset[CellIndex]
-    weights: dict[CellIndex, float]
+    cells: np.ndarray
+    weights: np.ndarray
     payoff_defended: float
     payoff_undefended: float
 
     def __post_init__(self):
-        if not set(self.weights) <= self.cells:
-            raise GameError(f"target {self.id!r} has weights outside its cells")
-        if not all(map(math.isfinite, self.weights.values())):
-            raise GameError(f"target {self.id!r} has non-finite weights")
-        if min(self.weights.values(), default=0.0) < 0:
-            raise GameError(f"target {self.id!r} has negative weights")
+        cells, weights = _cell_arrays(self.cells, self.weights, f"target {self.id!r}", "weights")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "weights", weights)
         if not (math.isfinite(self.payoff_defended) and math.isfinite(self.payoff_undefended)):
             raise GameError(f"target {self.id!r} has non-finite payoffs")
         if self.payoff_defended < self.payoff_undefended:
@@ -111,7 +134,8 @@ class AdversaryType:
 @dataclass(frozen=True)
 class AraGame:
     """k x n allocation game.  Games without explicit adversary types get a
-    single type attacking every target with probability one."""
+    single type attacking every target with probability one.  Building the
+    game compiles it, which checks every cell and value once."""
 
     k: int
     n: int
@@ -125,16 +149,14 @@ class AraGame:
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.k < 1 or self.n < 1:
             raise GameError("matrix dimensions must be positive")
+        if self.k * self.n > MAX_CELLS:
+            raise GameError(f"{self.k}x{self.n} cells exceed the {MAX_CELLS} cap")
         if len(self.targets) > self.k * self.n * MAX_TARGETS_FACTOR:
             raise GameError(f"{len(self.targets)} targets exceeds the "
                             f"{self.k * self.n * MAX_TARGETS_FACTOR} cap")
-        for con in self.constraints:
-            self._check_cells(con.cells, f"constraint {con.name()}")
         ids = [t.id for t in self.targets]
         if len(set(ids)) != len(ids):
             raise GameError("duplicate target ids")
-        for t in self.targets:
-            self._check_cells(t.cells, f"target {t.id!r}")
         if not self.adversary_types:
             object.__setattr__(self, "adversary_types",
                                (AdversaryType("default", 1.0, frozenset(ids)),))
@@ -150,14 +172,9 @@ class AraGame:
             seen |= a.targets
         if seen != set(ids):
             raise GameError("every target must belong to exactly one adversary type")
+        self.compiled  # checks the cells, coefficients and weights
         if self.validate_weights:
-            for t in self.targets:
-                _check_weight_bound(self, t)
-
-    def _check_cells(self, cells, what: str) -> None:
-        for (i, j) in cells:
-            if not (0 <= i < self.k and 0 <= j < self.n):
-                raise GameError(f"{what} references cell ({i}, {j}) outside {self.k}x{self.n}")
+            _check_weight_bounds(self)
 
     def target(self, target_id: str) -> Target:
         return self.targets[self.compiled.position(target_id)]
@@ -167,33 +184,69 @@ class AraGame:
         return CompiledGame(self)
 
 
+def _entries(objs, values, what, k: int, n: int, checks):
+    """The cells of ``objs`` as flat indexes i * n + j, ascending within
+    each segment (an object, in order), with their ``values`` (one array
+    per object) and segments.  A cell outside k x n or repeated within an
+    object, or a value failing one of the (mask, problem) ``checks(values)``,
+    raises ``GameError`` with ``what(segment)`` naming the object."""
+    cells = np.concatenate([np.zeros((0, 2), np.int64), *(o.cells for o in objs)])
+    seg = np.repeat(np.arange(len(objs)), [len(o.cells) for o in objs])
+    if len(cells) and (cells.min() < 0 or cells[:, 0].max() >= k or cells[:, 1].max() >= n):
+        e = int(np.argmax(((cells < 0) | (cells >= (k, n))).any(axis=1)))
+        raise GameError(f"{what(seg[e])} references cell {tuple(cells[e].tolist())} "
+                        f"outside {k}x{n}")
+    flat = cells[:, 0] * n + cells[:, 1]
+    # one stable sort by (segment, cell); ``MAX_CELLS`` keeps the key in int64
+    order = np.argsort(seg * (k * n) + flat, kind="stable")
+    flat, values = flat[order], np.concatenate([np.zeros(0), *values])[order]
+    repeated = (flat[1:] == flat[:-1]) & (seg[1:] == seg[:-1])  # ``seg`` is in order
+    if repeated.any():
+        e = int(np.argmax(repeated))
+        raise GameError(f"{what(seg[e])} repeats cell {divmod(int(flat[e]), n)}")
+    for bad, problem in checks(values):
+        if bad.any():
+            raise GameError(f"{what(seg[np.argmax(bad)])} {problem}")
+    return flat, values, seg
+
+
+def _coeff_arrays(constraints):
+    """Each constraint's coefficients, ones where it has none (views of one
+    array, which is cheaper than an array per constraint)."""
+    ones = np.ones(max((len(con.cells) for con in constraints), default=0))
+    return (ones[:len(con.cells)] if con.coeffs is None else con.coeffs for con in constraints)
+
+
 class CompiledGame:
     """A game as flat index arrays; cell (i, j) is index i * n + j.
 
     Constraint entries (cell, coefficient, segment) and target entries
-    (cell, weight, segment) run segment by segment in game order, and within
-    a segment in the iteration order of the constraint's cells or the
-    target's weights.  ``np.bincount`` adds in entry order, so segment sums
-    equal the loops over the game objects bit for bit; an empty segment (a
-    target with no cells) sums to zero.  Constraint sums are the exception:
-    they run cell by cell over a matrix's nonzero cells (``cell_constraints``),
-    which is exact for integer strategies and may differ from the game-order
-    sum by rounding for real ones.
+    (cell, weight, segment) run segment by segment in game order, and
+    within a segment in ascending row-major cell order; building them checks
+    every cell and value.  ``np.bincount`` adds in entry order, so segment
+    sums equal loops over each object's cells in ascending order bit for
+    bit; an empty segment (a target with no cells) sums to zero.  Constraint
+    sums are the exception: they run cell by cell over a matrix's nonzero
+    cells (``cell_constraints``), which is exact for integer strategies and
+    may differ from the game-order sum by rounding for real ones.
     """
 
     def __init__(self, game: AraGame):
-        self.shape = (game.k, game.n)
+        k, n = self.shape = (game.k, game.n)
         cons, targets = game.constraints, game.targets
-        n = game.n
-        self.con_cell = np.fromiter((i * n + j for con in cons for i, j in con.cells), np.int64)
-        self.con_coeff = np.fromiter((con.coeff(c) for con in cons for c in con.cells), np.int64)
-        self.con_seg = np.repeat(np.arange(len(cons)), [len(con.cells) for con in cons])
+        self.con_cell, coeff, self.con_seg = _entries(
+            cons, _coeff_arrays(cons),
+            lambda s: f"constraint {cons[s].label!r}", k, n,
+            lambda v: [(~np.isfinite(v), "has non-finite coefficients"),
+                       ((v < 1) | (v != np.floor(v)), "coefficients must be positive integers")])
+        self.con_coeff = coeff.astype(np.int64)
         self.lower = np.array([con.lower for con in cons], dtype=np.int64)
         self.upper = np.array([con.upper for con in cons], dtype=np.int64)
         self.names = tuple(con.name() for con in cons)
-        self.tgt_cell = np.fromiter((i * n + j for t in targets for i, j in t.weights), np.int64)
-        self.tgt_weight = np.fromiter((w for t in targets for w in t.weights.values()), float)
-        self.tgt_seg = np.repeat(np.arange(len(targets)), [len(t.weights) for t in targets])
+        self.tgt_cell, self.tgt_weight, self.tgt_seg = _entries(
+            targets, (t.weights for t in targets), lambda s: f"target {targets[s].id!r}", k, n,
+            lambda v: [(~np.isfinite(v), "has non-finite weights"),
+                       (v < 0, "has negative weights")])
         self.payoff_defended = np.array([t.payoff_defended for t in targets])
         self.payoff_undefended = np.array([t.payoff_undefended for t in targets])
         self.target_index = {t.id: idx for idx, t in enumerate(targets)}
@@ -211,10 +264,28 @@ class CompiledGame:
         np.cumsum(np.bincount(self.con_cell, minlength=len(ptr) - 1), out=ptr[1:])
         return ptr, order
 
+    def at_cells(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The constraint entries at each of the flat ``cells``: how many
+        there are at each, and their positions, cell by cell and in entry
+        order within a cell."""
+        ptr, order = self.cell_constraints
+        start = ptr[cells]
+        lens = ptr[cells + 1] - start
+        # entry positions of all those cells, run by run
+        return lens, order[np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+
+    @cached_property
+    def single_row(self) -> np.ndarray:
+        """Per constraint, the row of all its cells, or -1 for several rows:
+        the rows of its first and last entries, its lowest and highest."""
+        size = np.bincount(self.con_seg, minlength=len(self.names))
+        last = np.cumsum(size) - 1
+        lo, hi = self.con_cell[[last - size + 1, last]] // self.shape[1]
+        return np.where(lo == hi, lo, -1)
+
     def constraint_sums(self, matrices) -> np.ndarray:
         """Every constraint's sum in each matrix, shape (len(matrices), C),
         added over each matrix's nonzero cells only."""
-        ptr, order = self.cell_constraints
         cells, vals = [], []
         for x in matrices:
             x = _values(x)
@@ -226,11 +297,7 @@ class CompiledGame:
             vals.append(flat[nz])
         rows, count = len(cells), len(self.names)
         owner = np.repeat(np.arange(rows) * count, [len(c) for c in cells])
-        cells = np.concatenate(cells)
-        start = ptr[cells]
-        lens = ptr[cells + 1] - start
-        # entry positions of all those cells, run by run
-        entry = order[np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+        lens, entry = self.at_cells(np.concatenate(cells))
         weights = np.repeat(np.concatenate(vals), lens) * self.con_coeff[entry]
         return np.bincount(np.repeat(owner, lens) + self.con_seg[entry], weights=weights,
                            minlength=rows * count).reshape(rows, count)
@@ -273,39 +340,58 @@ class CompiledGame:
         return out
 
 
-def _check_weight_bound(game: AraGame, t: Target) -> None:
-    """Weights must keep the target's weighted mass at or below one over the
-    marginal polytope.  A containing constraint with a small enough bound
-    certifies this cheaply; otherwise maximize the mass by LP.  The marginal
-    polytope contains every mixed strategy, so the check is conservative."""
-    if not t.weights:
-        return
-    wmax = max(t.weights.values())
-    for con in game.constraints:
-        if t.cells <= con.cells and con.upper * wmax <= 1.0 + 1e-9:
-            return
-    prog = lpmod.LinearProgram(game.k * game.n)
-    for c, w in t.weights.items():
-        prog.objective[c[0] * game.n + c[1]] = w
-    unconstrained = set(t.weights) - set().union(*(con.cells for con in game.constraints))
-    if any(t.weights.get(c, 0) > 0 for c in unconstrained):
-        raise GameError(f"target {t.id!r} puts weight on unconstrained cells")
-    add_constraint_rows(prog, game.constraints, lambda c: c[0] * game.n + c[1])
-    sol = lpmod.solve_lp(prog)
-    if sol.status == "unbounded" or (sol.status == "optimal" and sol.objective_value > 1.0 + MARGINAL_TOL):
-        raise GameError(f"target {t.id!r} weights admit coverage above one")
+def _check_weight_bounds(game: AraGame) -> None:
+    """Weights must keep each target's weighted mass at or below one over
+    the marginal polytope.  A constraint holding all of a target's cells
+    with a small enough bound certifies this cheaply; otherwise maximize the
+    mass by LP.  The marginal polytope contains every mixed strategy, so the
+    check is conservative.  A target without positive weights needs neither."""
+    c = game.compiled
+    count, ncons = len(game.targets), len(game.constraints)
+    wmax = np.zeros(count)
+    np.maximum.at(wmax, c.tgt_seg, c.tgt_weight)
+    size = np.bincount(c.tgt_seg, minlength=count)
+    # how many cells of each target each constraint holds
+    lens, entry = c.at_cells(c.tgt_cell)
+    pairs, held = np.unique(np.repeat(c.tgt_seg, lens) * ncons + c.con_seg[entry],
+                            return_counts=True)
+    t, con = np.divmod(pairs, ncons)
+    certified = np.zeros(count, dtype=bool)
+    certified[t[(held == size[t]) & (c.upper[con] * wmax[t] <= 1.0 + 1e-9)]] = True
+    ends = np.cumsum(size)
+    for t in np.flatnonzero(~certified & (wmax > 0)):
+        prog = lpmod.LinearProgram(game.k * game.n)
+        mine = slice(ends[t] - size[t], ends[t])
+        prog.objective[c.tgt_cell[mine]] = c.tgt_weight[mine]
+        add_constraint_rows(prog, game.constraints, lambda p: p[:, 0] * game.n + p[:, 1])
+        sol = lpmod.solve_lp(prog)
+        if sol.status == "unbounded" or (sol.status == "optimal"
+                                         and sol.objective_value > 1.0 + MARGINAL_TOL):
+            raise GameError(f"target {game.targets[t].id!r} weights admit coverage above one")
 
 
 def add_constraint_rows(prog: lpmod.LinearProgram, constraints, var) -> None:
-    """LP rows for assignment constraints, with cell c held by variable var(c)."""
-    for con in constraints:
-        coeffs = {var(c): float(con.coeff(c)) for c in con.cells}
+    """LP rows for assignment constraints, with the cells of all of them (an
+    (E, 2) array of pairs) held by the variables ``var(cells)``."""
+    cells = np.concatenate([np.zeros((0, 2), np.int64), *(con.cells for con in constraints)])
+    coeffs = np.concatenate([np.zeros(0), *_coeff_arrays(constraints)])
+    seg = np.repeat(np.arange(len(constraints)), [len(con.cells) for con in constraints])
+    for con, coeffs in zip(constraints, row_dicts(var(cells), coeffs, seg, len(constraints))):
         if con.is_equality:
             prog.add_row(coeffs, "=", con.lower, label=con.name())
         else:
             prog.add_row(coeffs, "<=", con.upper, label=f"{con.name()} upper")
             if con.lower > 0:
                 prog.add_row(coeffs, ">=", con.lower, label=f"{con.name()} lower")
+
+
+def row_dicts(variables: np.ndarray, values: np.ndarray, seg: np.ndarray,
+              count: int) -> list[dict]:
+    """Per segment of entries in segment order, its LP row coefficients:
+    each entry's variable mapped to its value."""
+    ends = np.cumsum(np.bincount(seg, minlength=count)).tolist()
+    keys, vals = variables.tolist(), values.tolist()
+    return [dict(zip(keys[lo:hi], vals[lo:hi])) for lo, hi in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
@@ -420,26 +506,27 @@ class ImplementabilityResult:
         return tuple(names[i] for i in self.odd_cycle)
 
 
-def _crossing(a: AssignmentConstraint, b: AssignmentConstraint) -> bool:
-    return bool(a.cells & b.cells) and not a.cells <= b.cells and not b.cells <= a.cells
-
-
 def check_implementability(game: AraGame) -> ImplementabilityResult:
     """Decide whether the assignment constraints split into two laminar
     families (all marginals then implementable as mixed strategies).
 
-    Builds the graph whose edges join crossing constraint pairs and tests
-    bipartiteness; the two-coloring is the witness, an odd crossing cycle
-    the counter-witness.
+    Builds the graph whose edges join crossing constraint pairs (they share
+    a cell and neither holds all the other's cells, counted by one overlap
+    count over the cells) and tests bipartiteness; the two-coloring is the
+    witness, an odd crossing cycle the counter-witness.  Each vertex visits
+    its neighbours in ascending order.
     """
-    cons = game.constraints
-    m = len(cons)
+    c = game.compiled
+    m = len(game.constraints)
+    size = np.bincount(c.con_seg, minlength=m)
+    lens, entry = c.at_cells(c.con_cell)
+    pairs, overlap = np.unique(np.repeat(c.con_seg, lens) * m + c.con_seg[entry],
+                               return_counts=True)
+    a, b = np.divmod(pairs, m)
+    crossing = (a != b) & (overlap < size[a]) & (overlap < size[b])
     adj: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _crossing(cons[i], cons[j]):
-                adj[i].append(j)
-                adj[j].append(i)
+    for u, v in zip(a[crossing].tolist(), b[crossing].tolist()):
+        adj[u].append(v)
     color = [-1] * m
     parent = [-1] * m
     for start in range(m):

@@ -30,21 +30,21 @@ def enumerate_pure(game: AraGame) -> tuple[PureStrategy, ...]:
     k, n = game.k, game.n
     ncells = k * n
     cons = game.constraints
+    c = game.compiled
+    entries = list(zip(c.con_seg.tolist(), c.con_cell.tolist(), c.con_coeff.tolist()))
     by_cell: list[list[tuple[int, int]]] = [[] for _ in range(ncells)]
-    for ci, con in enumerate(cons):
-        for cell in con.cells:
-            by_cell[cell[0] * n + cell[1]].append((ci, con.coeff(cell)))
+    for ci, cell, coeff in entries:  # constraints ascending at every cell
+        by_cell[cell].append((ci, coeff))
 
-    cell_max = []
-    for idx in range(ncells):
-        caps = [cons[ci].upper // coeff for ci, coeff in by_cell[idx]]
-        cell_max.append(min(caps) if caps else 0)
+    cell_max = [min((cons[ci].upper // coeff for ci, coeff in touches), default=0)
+                for touches in by_cell]
 
     sums = [0] * len(cons)
     remaining = [len(con.cells) for con in cons]
     # max additional mass the unassigned cells of each constraint can add
-    max_add = [sum(cell_max[c[0] * n + c[1]] * con.coeff(c) for c in con.cells)
-               for con in cons]
+    max_add = [0] * len(cons)
+    for ci, cell, coeff in entries:
+        max_add[ci] += cell_max[cell] * coeff
     matrix = np.zeros((k, n), dtype=np.int64)
     out: list[PureStrategy] = []
 

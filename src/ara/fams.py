@@ -98,20 +98,19 @@ def encode_fams(inst: FamsInstance) -> AraGame:
     with a matching at-most-one allocation constraint."""
     k, n = inst.num_marshals, len(inst.schedules)
     col = {s.id: j for j, s in enumerate(inst.schedules)}
-    constraints = []
-    for i in range(k):
-        cells = frozenset((i, j) for j in range(n))
-        constraints.append(AssignmentConstraint(cells, 0, 1, label=f"marshal {i}"))
+    grid = np.indices((k, n)).transpose(1, 2, 0)  # grid[i, j] is the pair (i, j)
+    constraints = [AssignmentConstraint(grid[i], 0, 1, label=f"marshal {i}") for i in range(k)]
     for m, sid in sorted(inst.forbidden):
-        constraints.append(AssignmentConstraint(frozenset({(m, col[sid])}), 0, 0,
+        constraints.append(AssignmentConstraint([[m, col[sid]]], 0, 0,
                                                 label=f"forbidden ({m}, {sid})"))
+    flight_of, col_of = _flight_major(_schedule_flights(inst))
+    ends = np.cumsum(np.bincount(flight_of, minlength=len(inst.flights)))
     targets = []
-    for f in inst.flights:
-        cells = frozenset((i, col[s.id]) for s in inst.schedules if f.id in s.flights
-                          for i in range(k))
-        if cells:
+    for f, cols in zip(inst.flights, np.split(col_of, ends[:-1])):
+        cells = grid[:, cols].reshape(-1, 2)  # row-major, as ``cols`` ascend
+        if len(cells):
             constraints.append(AssignmentConstraint(cells, 0, 1, label=f"flight {f.id}"))
-        targets.append(Target(f.id, cells, {c: 1.0 for c in cells}, f.u_def, f.u_undef))
+        targets.append(Target(f.id, cells, np.ones(len(cells)), f.u_def, f.u_undef))
     return AraGame(k, n, tuple(constraints), tuple(targets))
 
 

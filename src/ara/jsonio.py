@@ -3,12 +3,15 @@
 Family is detected from the top-level keys: ``schedules`` marks an air
 marshal instance, ``categories`` a screening instance, and ``k`` a raw
 allocation game.  Target weights serialize as a list parallel to ``cells``.
+A game file lists cells as [row, col] pairs in ascending order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+
+import numpy as np
 
 from ara.core import AdversaryType, AraGame, AssignmentConstraint, Target
 from ara.fams import FamsInstance, FlightSpec, Schedule
@@ -29,20 +32,23 @@ def instance_digest(data) -> str:
 
 
 def game_to_json(game: AraGame) -> dict:
+    """Cells in ascending order; ``coeffs`` lists [row, col, coefficient]
+    for the cells whose coefficient is not 1, and is left out when none is."""
     cons = []
     for c in game.constraints:
-        cells = sorted(c.cells)
-        entry = {"cells": [list(x) for x in cells], "lower": c.lower, "upper": c.upper}
+        order = np.lexsort(c.cells.T[::-1])
+        entry = {"cells": c.cells[order].tolist(), "lower": c.lower, "upper": c.upper}
         if c.label:
             entry["label"] = c.label
-        if c.coeffs:
-            entry["coeffs"] = [[i, j, c.coeffs[(i, j)]] for (i, j) in cells if (i, j) in c.coeffs]
+        if c.coeffs is not None and np.any(c.coeffs != 1):
+            entry["coeffs"] = [[i, j, int(m)] for (i, j), m in
+                               zip(c.cells[order].tolist(), c.coeffs[order].tolist()) if m != 1]
         cons.append(entry)
     targets = []
     for t in game.targets:
-        cells = sorted(t.cells)
-        targets.append({"id": t.id, "cells": [list(x) for x in cells],
-                        "weights": [t.weights.get(tuple(x), 0.0) for x in cells],
+        order = np.lexsort(t.cells.T[::-1])
+        targets.append({"id": t.id, "cells": t.cells[order].tolist(),
+                        "weights": t.weights[order].tolist(),
                         "u_def": t.payoff_defended, "u_undef": t.payoff_undefended})
     types = [{"id": a.id, "p": a.probability, "targets": sorted(a.targets)}
              for a in game.adversary_types]
@@ -54,17 +60,18 @@ def game_from_json(data: dict) -> AraGame:
     try:
         cons = []
         for c in data["constraints"]:
-            coeffs = {(i, j): m for i, j, m in c.get("coeffs", [])} or None
-            cons.append(AssignmentConstraint(frozenset(map(tuple, c["cells"])),
-                                             c["lower"], c["upper"], c.get("label", ""), coeffs))
-        targets = []
-        for t in data["targets"]:
-            cells = [tuple(x) for x in t["cells"]]
-            weights = dict(zip(cells, t["weights"]))
-            targets.append(Target(t["id"], frozenset(cells), weights, t["u_def"], t["u_undef"]))
+            sparse = {(i, j): m for i, j, m in c.get("coeffs", [])}
+            coeffs = [sparse.pop(tuple(cell), 1) for cell in c["cells"]] if sparse else None
+            if sparse:
+                raise ParseError("game", f"constraint {c.get('label', '')!r} has coefficients "
+                                 "outside its cells")
+            cons.append(AssignmentConstraint(c["cells"], c["lower"], c["upper"],
+                                             c.get("label", ""), coeffs))
+        targets = tuple(Target(t["id"], t["cells"], t["weights"], t["u_def"], t["u_undef"])
+                        for t in data["targets"])
         types = tuple(AdversaryType(a["id"], a["p"], frozenset(a["targets"]))
                       for a in data.get("adversary_types", []))
-        return AraGame(data["k"], data["n"], tuple(cons), tuple(targets), types)
+        return AraGame(data["k"], data["n"], tuple(cons), targets, types)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("game", str(exc)) from exc
 

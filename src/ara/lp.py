@@ -438,7 +438,7 @@ def _verify_primal(lp: LinearProgram, values: np.ndarray) -> None:
     ``np.bincount`` adds each row's terms in entry order, which is the order
     a loop over the row's own coefficients, then its appended columns',
     would take."""
-    tol = FEAS_TOL * max(1.0, float(np.max(np.abs(values))))
+    tol = FEAS_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
     e_row, e_var, e_val = lp.entries
     act = np.bincount(e_row, weights=e_val * values[e_var], minlength=len(lp.rows))
     rhs, sense = _rhs_and_sense(lp)

@@ -47,6 +47,7 @@ from ara.core import (
     add_constraint_rows,
     constraint_violations,
     game_value,
+    row_dicts,
 )
 from ara.lp import LinearProgram, solve_lp
 
@@ -75,10 +76,10 @@ def solve_marginal(game: AraGame) -> MarginalSolution:
     summed = _over_columns(game)
     if summed is None:
         nx = k * n
-        prog = _marginal_lp(game, game.constraints, lambda cell: cell[0] * n + cell[1], nx)
+        prog = _marginal_lp(game, game.constraints, lambda p: p[:, 0] * n + p[:, 1], nx)
     else:
         nx = n
-        prog = _marginal_lp(game, summed, lambda cell: cell[1], nx)
+        prog = _marginal_lp(game, summed, lambda p: p[:, 1], nx)
 
     sol = solve_lp(prog)
     if sol.status == "infeasible":
@@ -101,13 +102,19 @@ def solve_marginal(game: AraGame) -> MarginalSolution:
 
 
 def _marginal_lp(game: AraGame, constraints, var, nx: int) -> LinearProgram:
-    """The marginal LP with cell c held by variable ``var(c)`` in [0, nx).
+    """The marginal LP with an (E, 2) array of cell pairs p held by the
+    variables ``var(p)`` in [0, nx).
 
     Cells that share a variable must carry the same coefficient in every
     row and target, which then applies once to the shared variable.
     """
     active = [a for a in game.adversary_types if a.probability > 0.0 and a.targets]
     prog = LinearProgram(nx + len(active))
+    c = game.compiled
+    coef = -c.tgt_weight * (c.payoff_defended - c.payoff_undefended)[c.tgt_seg]
+    used = coef != 0.0
+    cells = np.stack(np.divmod(c.tgt_cell[used], game.n), axis=1)
+    rows = row_dicts(var(cells), coef[used], c.tgt_seg[used], len(game.targets))
 
     for ti, a in enumerate(active):
         z = nx + ti
@@ -117,13 +124,8 @@ def _marginal_lp(game: AraGame, constraints, var, nx: int) -> LinearProgram:
         floor = min(game.target(t).payoff_undefended for t in a.targets)
         prog.lower[z] = floor
         for tid in sorted(a.targets):
-            t = game.target(tid)
-            coeffs = {z: 1.0}
-            delta = t.payoff_defended - t.payoff_undefended
-            for cell, w in t.weights.items():
-                if w * delta != 0.0:
-                    coeffs[var(cell)] = -w * delta
-            prog.add_row(coeffs, "<=", t.payoff_undefended, label=f"target {tid}")
+            t = c.position(tid)
+            prog.add_row({z: 1.0, **rows[t]}, "<=", c.payoff_undefended[t], label=f"target {tid}")
 
     add_constraint_rows(prog, constraints, var)
     return prog
@@ -137,18 +139,17 @@ def _over_columns(game: AraGame):
     c = game.compiled
     ncons = len(game.constraints)
     size = np.bincount(c.con_seg, minlength=ncons)
-    row = c.con_cell // n
-    first_row = row[np.cumsum(size) - size]  # every constraint has a cell
-    single = np.bincount(c.con_seg, weights=row != first_row[c.con_seg], minlength=ncons) == 0
+    row = c.single_row
+    single = row >= 0
     # exactly one single-row constraint (the budget) in every row; every
     # other constraint, and every target, the same in all k rows
-    if not np.all(np.bincount(first_row[single], minlength=k) == 1):
+    if not np.all(np.bincount(row[single], minlength=k) == 1):
         return None
     if not _same_in_every_row(k, n, c.con_cell, c.con_coeff, c.con_seg, ncons)[~single].all():
         return None
     if not _same_in_every_row(k, n, c.tgt_cell, c.tgt_weight, c.tgt_seg, len(game.targets)).all():
         return None
-    budget = np.flatnonzero(single)[np.argsort(first_row[single])]  # in row order
+    budget = np.flatnonzero(single)[np.argsort(row[single])]  # in row order
     first, last = game.constraints[budget[0]], game.constraints[budget[-1]]
     if first.lower != 0 and not first.is_equality:
         return None
@@ -157,7 +158,7 @@ def _over_columns(game: AraGame):
             or np.any(size[budget] != n) or np.any(not_unit[budget] > 0)):
         return None
     others = [con for con, one in zip(game.constraints, single) if not one]
-    summed = AssignmentConstraint(frozenset((i, j) for i in range(k) for j in range(n)),
+    summed = AssignmentConstraint(np.indices((k, n)).reshape(2, -1).T,
                                   k * first.lower, k * first.upper,
                                   label=f"{first.name()} .. {last.name()} summed")
     return (summed, *others)

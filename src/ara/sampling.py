@@ -78,18 +78,17 @@ class Pe0Form:
     source_cols: int
 
     def __post_init__(self):
-        covered: set = set()
-        for con in self.equality_partition:
+        k, n = self.game.k, self.game.n
+        part = self.equality_partition
+        for con in part:
             if not con.is_equality:
                 raise Pe0StructureError(f"{con.name()} is not an equality")
-            overlap = covered & con.cells
-            if overlap:
-                raise Pe0StructureError(f"{con.name()} overlaps the partition at {sorted(overlap)[0]}")
-            covered |= con.cells
-        every = {(i, j) for i in range(self.game.k) for j in range(self.game.n)}
-        if covered != every:
-            missing = sorted(every - covered)[0]
-            raise Pe0StructureError(f"equalities do not cover cell {missing}")
+        cells = np.concatenate([np.zeros((0, 2), np.int64), *(c.cells for c in part)])
+        count = np.bincount(cells[:, 0] * n + cells[:, 1], minlength=k * n)
+        if np.any(count != 1):
+            cell = int(np.argmax(count != 1))
+            problem = "overlap at" if count[cell] else "do not cover"
+            raise Pe0StructureError(f"equalities {problem} cell {divmod(cell, n)}")
         for con in self.inequalities:
             if con.lower != 0:
                 raise Pe0StructureError(f"{con.name()} has nonzero lower bound {con.lower}")
@@ -121,11 +120,11 @@ def to_pe0(game: AraGame) -> Pe0Form:
     # Row-budget form: every row needs one inequality over exactly its cells.
     row_budget: dict[int, AssignmentConstraint] = {}
     others = []
-    for con in ineqs:
-        rows = {i for i, _ in con.cells}
-        if (len(rows) == 1 and len(con.cells) == game.n and not con.is_equality
-                and next(iter(rows)) not in row_budget):
-            row_budget[next(iter(rows))] = con
+    # with no positive equality, ``ineqs`` is every constraint, in game order
+    for con, row in zip(ineqs, game.compiled.single_row.tolist()):
+        if (row >= 0 and len(con.cells) == game.n and not con.is_equality
+                and row not in row_budget):
+            row_budget[row] = con
         else:
             others.append(con)
     if set(row_budget) != set(range(game.k)):
@@ -134,15 +133,13 @@ def to_pe0(game: AraGame) -> Pe0Form:
                                 "into a partition equality")
 
     n_ext = game.n + 1
-    equalities = []
-    for i in range(game.k):
-        budget = row_budget[i]
-        cells = frozenset((i, j) for j in range(n_ext))
-        equalities.append(AssignmentConstraint(cells, budget.upper, budget.upper,
-                                               label=f"{budget.name()} (with slack)"))
-    ext = AraGame(game.k, n_ext, tuple(equalities) + tuple(others), game.targets,
+    rows = np.indices((game.k, n_ext)).transpose(1, 2, 0)  # rows[i]: row i's cells
+    equalities = tuple(AssignmentConstraint(rows[i], row_budget[i].upper, row_budget[i].upper,
+                                            label=f"{row_budget[i].name()} (with slack)")
+                       for i in range(game.k))
+    ext = AraGame(game.k, n_ext, equalities + tuple(others), game.targets,
                   game.adversary_types, validate_weights=False)
-    return Pe0Form(ext, tuple(equalities), tuple(others), game, game.n)
+    return Pe0Form(ext, equalities, tuple(others), game, game.n)
 
 
 def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -185,12 +182,16 @@ class _CombSampler:
                             "solve the marginal LP of pe0.game")
         values = x.ravel()
         self.base = np.zeros(values.size, dtype=np.int64)
+        part = pe0.equality_partition
+        sizes = [len(con.cells) for con in part]
+        cells = np.concatenate([con.cells for con in part])
+        flat = cells[:, 0] * self.shape[1] + cells[:, 1]
+        flat = flat[np.lexsort((flat, np.repeat(np.arange(len(part)), sizes)))]
         groups = []  # (cells, cumulative fractions, buckets) of groups that draw
-        for con in pe0.equality_partition:
-            flat = np.array([i * self.shape[1] + j for i, j in con.sorted_cells()], dtype=np.int64)
-            self.base[flat], cum, buckets = _comb_prepare(values[flat])
+        for cells in np.split(flat, np.cumsum(sizes)[:-1]):  # each ascending
+            self.base[cells], cum, buckets = _comb_prepare(values[cells])
             if buckets:
-                groups.append((flat, cum, buckets))
+                groups.append((cells, cum, buckets))
         self.draws = len(groups)
         if self.draws:
             cells, cums, buckets = zip(*groups)

@@ -7,7 +7,6 @@ adversary's risk level picks which categories it can attack.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,24 +102,23 @@ def encode_tsg(inst: TsgInstance) -> AraGame:
     category is a target with weights effectiveness/passengers whose risk
     level names the adversary type."""
     k, n = len(inst.teams), len(inst.categories)
-    usage = [Counter(t.members) for t in inst.teams]
+    grid = np.indices((k, n)).transpose(1, 2, 0)  # grid[i, j] is the pair (i, j)
     constraints = []
     for r in inst.resources:
-        cells = frozenset((i, j) for i, t in enumerate(inst.teams) if usage[i][r.id]
-                          for j in range(n))
-        if not cells:
+        usage = np.array([t.members.count(r.id) for t in inst.teams])
+        teams = np.flatnonzero(usage)
+        if not len(teams):
             continue
-        coeffs = {(i, j): usage[i][r.id] for (i, j) in cells if usage[i][r.id] > 1}
-        constraints.append(AssignmentConstraint(cells, 0, r.capacity,
-                                                label=f"capacity {r.id}",
-                                                coeffs=coeffs or None))
+        coeffs = np.repeat(usage[teams], n) if np.any(usage > 1) else None
+        constraints.append(AssignmentConstraint(grid[teams].reshape(-1, 2), 0, r.capacity,
+                                                label=f"capacity {r.id}", coeffs=coeffs))
+    passengers = np.array([c.passengers for c in inst.categories])
+    weights = np.array([t.effectiveness for t in inst.teams]) / passengers[:, None]
     targets = []
     for j, c in enumerate(inst.categories):
-        cells = frozenset((i, j) for i in range(k))
-        constraints.append(AssignmentConstraint(cells, c.passengers, c.passengers,
+        constraints.append(AssignmentConstraint(grid[:, j], c.passengers, c.passengers,
                                                 label=f"category {c.id}"))
-        weights = {(i, j): inst.teams[i].effectiveness / c.passengers for i in range(k)}
-        targets.append(Target(c.id, cells, weights, c.u_def, c.u_undef))
+        targets.append(Target(c.id, grid[:, j], weights[j], c.u_def, c.u_undef))
     types = []
     for r in inst.risk_levels:
         mine = frozenset(c.id for c in inst.categories if c.risk == r.id)
@@ -148,9 +146,11 @@ class TsgFixer:
         self.usage = np.array([[t.members.count(r.id) for r in inst.resources] for t in teams],
                               dtype=np.int64).reshape(len(teams), len(inst.resources))
         self.capacity = np.array([r.capacity for r in inst.resources], dtype=np.int64)
-        cells = sorted(((i, j) for i in range(len(teams)) for j in range(len(cats))),
-                       key=lambda c: (-cats[c[1]].passengers, cats[c[1]].id, teams[c[0]].id))
-        self.cell_rows, self.cell_cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        rows, cols = np.indices((len(teams), len(cats))).reshape(2, -1)
+        team_rank, cat_rank = (np.unique([s.id for s in specs], return_inverse=True)[1]
+                               for specs in (teams, cats))  # ids are distinct
+        order = np.lexsort((team_rank[rows], cat_rank[cols], -self.passengers[cols]))
+        self.cell_rows, self.cell_cols = rows[order], cols[order]
         self.refill = sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id))
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:

@@ -5,9 +5,10 @@ toy with overlapping schedules; ``fig1c_tsg`` the two-resource screening
 toy whose middle team uses both resources, so both have genuinely crossing
 assignment constraints.
 
-``coverage``, ``utility``, ``violations`` and ``constraint_sum`` read one
-target, one pure strategy or one constraint through the package's compiled
-game, or loop over one constraint's cells.
+``utility`` and ``violations`` read one target or one pure strategy through
+the package's compiled game; ``coverage`` and ``constraint_sum`` are
+independent references, plain loops over one target's or one constraint's
+(row, col) pairs.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from ara.core import (
     AdversaryType,
     AraGame,
     AssignmentConstraint,
+    GameError,
     PureStrategy,
     Target,
     constraint_violations,
@@ -26,8 +28,12 @@ from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance
 
 
 def coverage(game: AraGame, x, target_id: str) -> float:
-    """The weighted allocation mass on one target's cells."""
-    return float(game.compiled.coverages(x)[game.compiled.position(target_id)])
+    """The weighted allocation mass on one target's cells, cell by cell."""
+    t = game.target(target_id)
+    m = np.asarray(getattr(x, "values", x))
+    if m.shape != (game.k, game.n):
+        raise GameError(f"strategy shape {m.shape} does not match {(game.k, game.n)}")
+    return float(sum(w * m[i, j] for (i, j), w in zip(t.cells.tolist(), t.weights.tolist())))
 
 
 def utility(game: AraGame, x, target_id: str) -> float:
@@ -43,7 +49,8 @@ def violations(game: AraGame, p) -> list:
 
 def constraint_sum(con: AssignmentConstraint, m) -> float:
     """A constraint's weighted cell sum, cell by cell."""
-    return float(sum(con.coeff(c) * m[c] for c in con.cells))
+    coeffs = [1] * len(con.cells) if con.coeffs is None else con.coeffs.tolist()
+    return float(sum(int(c) * m[i, j] for (i, j), c in zip(con.cells.tolist(), coeffs)))
 
 
 @pytest.fixture
@@ -151,18 +158,16 @@ def random_raw_game(rng: np.random.Generator) -> AraGame:
     constraints = []
     for c in range(int(rng.integers(1, 5))):
         cells = cell_set()
-        coeffs = {cell: int(rng.integers(1, 4)) for cell in cells if rng.random() < 0.5}
+        coeffs = [int(rng.integers(1, 4)) if rng.random() < 0.5 else 1 for _ in cells]
         lower = int(rng.integers(0, 3))
-        constraints.append(AssignmentConstraint(frozenset(cells), lower,
-                                                lower + int(rng.integers(0, 4)),
-                                                label=f"con {c}", coeffs=coeffs or None))
+        constraints.append(AssignmentConstraint(cells, lower, lower + int(rng.integers(0, 4)),
+                                                label=f"con {c}", coeffs=coeffs))
     targets = []
     for t in range(int(rng.integers(1, 4))):
         cells = cell_set()
-        targets.append(Target(f"t{t}", frozenset(cells),
-                              {cell: float(rng.random()) for cell in cells},
+        targets.append(Target(f"t{t}", cells, [float(rng.random()) for _ in cells],
                               -1.0, -float(rng.integers(2, 11))))
-    targets.append(Target("empty", frozenset(), {}, -1.0, -3.0))
+    targets.append(Target("empty", [], [], -1.0, -3.0))
     ids = [t.id for t in targets]
     types = (AdversaryType("a", 0.25, frozenset(ids[::2])),
              AdversaryType("b", 0.75, frozenset(ids[1::2])))

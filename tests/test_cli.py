@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import warnings
 
@@ -7,9 +8,10 @@ import pytest
 
 from ara import cli, exact, jsonio, lp
 from ara.cli import main, run_method
-from ara.core import AraGame, AssignmentConstraint, MarginalStrategy, Target
+from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.jsonio import (
+    canonical_json,
     fams_from_json,
     fams_to_json,
     game_from_json,
@@ -21,6 +23,8 @@ from ara.jsonio import (
 from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.marginal import MarginalSolution, solve_marginal
 from ara.reports import SolveReport
+from ara.tsg import encode_tsg
+from conftest import random_raw_game
 
 
 @pytest.fixture
@@ -49,10 +53,36 @@ class TestJsonRoundTrip:
         assert tsg_from_json(tsg_to_json(fig1c_tsg)) == fig1c_tsg
 
     def test_game(self, fig1b_fams):
-        game = encode_fams(fig1b_fams)
-        again = game_from_json(game_to_json(game))
-        assert again.k == game.k and again.n == game.n
-        assert set(c.cells for c in again.constraints) == set(c.cells for c in game.constraints)
+        data = game_to_json(encode_fams(fig1b_fams))
+        assert game_to_json(game_from_json(data)) == data
+
+    # sha256 of the canonical JSON of each game, recorded when constraints
+    # and targets still held their cells as frozensets
+    @pytest.mark.parametrize("family, digest", [
+        ("fams", "9888e560ce018603e145e147cc0c692c16426561fed3d7e6b387a7aebcd1b53f"),
+        ("tsg", "a1fdeddf88b7d2869e5446b691f7028b59562682e0390f6705b08e71400cba8d"),
+    ])
+    def test_game_format_is_pinned(self, fig1b_fams, fig1c_tsg, family, digest):
+        game = encode_fams(fig1b_fams) if family == "fams" else encode_tsg(fig1c_tsg)
+        data = game_to_json(game)
+        assert game_to_json(game_from_json(data)) == data
+        assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
+
+    def test_random_games(self):
+        # a reader refuses a random game whose weights admit coverage above
+        # one; every other one must come back as it was written
+        kept = with_coeffs = 0
+        for seed in range(40):
+            data = game_to_json(random_raw_game(np.random.default_rng(seed)))
+            try:
+                game = game_from_json(data)
+            except GameError as exc:
+                assert "coverage above one" in str(exc) or "unconstrained" in str(exc)
+                continue
+            assert game_to_json(game) == data
+            kept += 1
+            with_coeffs += any("coeffs" in c for c in data["constraints"])
+        assert kept >= 10 and with_coeffs >= 5
 
     def test_family_detection(self, tmp_path, fig1b_fams):
         path = tmp_path / "ara.json"
@@ -116,9 +146,9 @@ class TestSolveCommand:
     @staticmethod
     def _wide_game_file(tmp_path):
         # one level of search per cell: 1,500 cells once overflowed the stack
-        cells = frozenset((0, j) for j in range(1500))
+        cells = [(0, j) for j in range(1500)]
         game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),),
-                       (Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0),))
+                       (Target("t", cells, [1.0] * 1500, -1.0, -5.0),))
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(game_to_json(game)))
         return path
@@ -191,6 +221,56 @@ class TestSolveCommand:
         assert main(["solve", "--instance", str(path), "--method", "exact"]) == 3
         err = capsys.readouterr().err
         assert f"constraint {constraint['label']!r} has non-finite {what}" in err
+
+    @pytest.mark.parametrize("part, cells, weights, code, message", [
+        ("constraints", [[0, 3], [0, 1], [0, 2]], None, 3,
+         "constraint 'marshal 0' references cell (0, 3) outside 3x3"),
+        ("targets", [[3, 0], [0, 1]], [1.0, 1.0], 3,
+         "target 'f1' references cell (3, 0) outside 3x3"),
+        ("constraints", [[0, 0], [0, -1]], None, 3,
+         "constraint 'marshal 0' references cell (0, -1) outside 3x3"),
+        ("constraints", [[0, 0], [0]], None, 3,
+         "constraint 'marshal 0' cells must be (row, col) integer pairs"),
+        ("targets", [[0, 0, 0]], [1.0], 3,
+         "target 'f1' cells must be (row, col) integer pairs"),
+        ("constraints", [0, 1], None, 3,
+         "constraint 'marshal 0' cells must be (row, col) integer pairs"),
+        ("constraints", [[0, 0.5]], None, 3,
+         "constraint 'marshal 0' cells must be (row, col) integer pairs"),
+        ("constraints", [[0, 1], [0, 0], [0, 1]], None, 3,
+         "constraint 'marshal 0' repeats cell (0, 1)"),
+        ("targets", [[0, 0], [1, 1], [0, 0]], [1.0, 0.5, 0.25], 3,
+         "target 'f1' repeats cell (0, 0)"),
+        ("targets", [[0, 0], [0, 1]], [1.0], 3, "target 'f1' has 1 weights for 2 cells"),
+        ("constraints", 5, None, 3,
+         "constraint 'marshal 0' cells must be (row, col) integer pairs"),
+    ], ids=["column-n", "row-k", "negative", "not-a-pair", "triple", "flat", "fraction",
+            "repeated-in-constraint", "repeated-in-target", "short-weights", "scalar"])
+    def test_bad_cells_are_named(self, tmp_path, capsys, fig1b_fams, part, cells, weights,
+                                 code, message):
+        data = game_to_json(encode_fams(fig1b_fams))
+        entry = data[part][0]
+        entry["cells"] = cells
+        if weights is not None:
+            entry["weights"] = weights
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(path), "--method", "marginal-bound"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([[1, 1, 2]], "constraint 'marshal 0' has coefficients outside its cells"),
+        ([[0, 0]], "game: "),
+    ], ids=["outside-cells", "not-a-triple"])
+    def test_bad_coefficient_entries_are_parse_errors(self, tmp_path, capsys, fig1b_fams,
+                                                      coeffs, message):
+        data = game_to_json(encode_fams(fig1b_fams))
+        data["constraints"][0]["coeffs"] = coeffs
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(path), "--method", "marginal-bound"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,6 @@
+import re
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -20,16 +23,15 @@ from conftest import constraint_sum, coverage, random_raw_game, utility, violati
 
 
 def single_target_game(u_def=-1.0, u_undef=-5.0, weight=1.0):
-    con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 1, label="row 0")
-    t = Target("t", frozenset({(0, 0), (0, 1)}), {(0, 0): weight, (0, 1): weight},
-               u_def, u_undef)
+    con = AssignmentConstraint([(0, 0), (0, 1)], 0, 1, label="row 0")
+    t = Target("t", [(0, 0), (0, 1)], [weight, weight], u_def, u_undef)
     return AraGame(1, 2, (con,), (t,))
 
 
 def screening_column_game():
-    cells = frozenset({(0, 0), (1, 0)})
+    cells = [(0, 0), (1, 0)]
     con = AssignmentConstraint(cells, 15, 15, label="column")
-    t = Target("cat", cells, {(0, 0): 0.9 / 15, (1, 0): 0.5 / 15}, -1.0, -7.0)
+    t = Target("cat", cells, [0.9 / 15, 0.5 / 15], -1.0, -7.0)
     return AraGame(2, 1, (con,), (t,))
 
 
@@ -90,16 +92,16 @@ class TestDefenderUtility:
 
 class TestGameValue:
     def test_min_over_targets(self):
-        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 1)
-        t1 = Target("a", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -3.0)
-        t2 = Target("b", frozenset({(0, 1)}), {(0, 1): 1.0}, -1.0, -7.0)
+        con = AssignmentConstraint([(0, 0), (0, 1)], 0, 1)
+        t1 = Target("a", [(0, 0)], [1.0], -1.0, -3.0)
+        t2 = Target("b", [(0, 1)], [1.0], -1.0, -7.0)
         game = AraGame(1, 2, (con,), (t1, t2))
         assert game_value(game, np.zeros((1, 2))) == pytest.approx(-7.0)
 
     def test_expectation_over_types(self):
-        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 1)
-        t1 = Target("a", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -2.0)
-        t2 = Target("b", frozenset({(0, 1)}), {(0, 1): 1.0}, -1.0, -6.0)
+        con = AssignmentConstraint([(0, 0), (0, 1)], 0, 1)
+        t1 = Target("a", [(0, 0)], [1.0], -1.0, -2.0)
+        t2 = Target("b", [(0, 1)], [1.0], -1.0, -6.0)
         types = (AdversaryType("x", 0.5, frozenset({"a"})),
                  AdversaryType("y", 0.5, frozenset({"b"})))
         game = AraGame(1, 2, (con,), (t1, t2), types)
@@ -121,9 +123,9 @@ class TestGameValue:
         assert game_value(game, m) == pytest.approx(expected)
 
     def test_zero_probability_type_ignored(self):
-        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 1)
-        t1 = Target("a", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -2.0)
-        t2 = Target("b", frozenset({(0, 1)}), {(0, 1): 1.0}, -1.0, -6.0)
+        con = AssignmentConstraint([(0, 0), (0, 1)], 0, 1)
+        t1 = Target("a", [(0, 0)], [1.0], -1.0, -2.0)
+        t2 = Target("b", [(0, 1)], [1.0], -1.0, -6.0)
         types = (AdversaryType("x", 1.0, frozenset({"a"})),
                  AdversaryType("y", 0.0, frozenset({"b"})))
         game = AraGame(1, 2, (con,), (t1, t2), types)
@@ -131,9 +133,9 @@ class TestGameValue:
 
     def test_singleton_type_value_below_every_target(self):
         rng = np.random.default_rng(11)
-        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 1)
-        t1 = Target("a", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -3.0)
-        t2 = Target("b", frozenset({(0, 1)}), {(0, 1): 1.0}, -1.0, -7.0)
+        con = AssignmentConstraint([(0, 0), (0, 1)], 0, 1)
+        t1 = Target("a", [(0, 0)], [1.0], -1.0, -3.0)
+        t2 = Target("b", [(0, 1)], [1.0], -1.0, -7.0)
         game = AraGame(1, 2, (con,), (t1, t2))
         for _ in range(20):
             m = rng.random((1, 2)) * 0.5
@@ -177,7 +179,7 @@ class TestValidPure:
 
 
 def loop_coverage(game, m, t):
-    return float(sum(w * m[cell] for cell, w in t.weights.items()))
+    return float(sum(w * m[i, j] for (i, j), w in zip(t.cells.tolist(), t.weights.tolist())))
 
 
 def loop_game_value(game, m):
@@ -239,6 +241,16 @@ class TestCompiledGame:
         per_sample = np.array([[loop_coverage(game, s, t) for t in game.targets] for s in stack])
         assert np.allclose(game.compiled.coverages(stack), per_sample, rtol=0, atol=1e-12)
 
+    def test_entries_ascend_row_major_within_each_segment(self):
+        con = AssignmentConstraint([(1, 0), (0, 2), (0, 1)], 0, 3, "c", coeffs=[3, 2, 1])
+        t = Target("t", [(1, 1), (0, 2)], [0.25, 0.5], -1.0, -2.0)
+        c = AraGame(2, 3, (AssignmentConstraint([(1, 2)], 0, 1), con), (t,),
+                    validate_weights=False).compiled
+        assert c.con_cell.tolist() == [5, 1, 2, 3]
+        assert c.con_coeff.tolist() == [1, 1, 2, 3]
+        assert c.con_seg.tolist() == [0, 1, 1, 1]
+        assert c.tgt_cell.tolist() == [2, 4] and c.tgt_weight.tolist() == [0.5, 0.25]
+
     def test_flight_in_no_schedule_has_zero_coverage(self):
         inst = FamsInstance(2, (Schedule("s0", frozenset({"f0"})),),
                             (FlightSpec("f0", -1.0, -4.0), FlightSpec("lonely", -1.0, -6.0)))
@@ -256,20 +268,54 @@ class TestCompiledGame:
             coverage(game, np.zeros((2, 3)), "c_r1_f1")
 
 
+def crossing_graph(game: AraGame) -> nx.Graph:
+    """The crossing graph by brute force over Python sets of each
+    constraint's pairs: an edge joins two constraints that share a cell
+    when neither holds all the other's cells."""
+    sets = [set(map(tuple, con.cells.tolist())) for con in game.constraints]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(sets)))
+    graph.add_edges_from((a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))
+                         if sets[a] & sets[b] and not sets[a] <= sets[b]
+                         and not sets[b] <= sets[a])
+    return graph
+
+
 class TestImplementability:
+    def test_matches_brute_force_crossing_graph(self, fig1b_fams, fig1c_tsg):
+        games = [random_raw_game(np.random.default_rng(5000 + seed)) for seed in range(200)]
+        games += [encode_fams(fig1b_fams), encode_tsg(fig1c_tsg)]
+        verdicts = []
+        for game in games:
+            graph = crossing_graph(game)
+            result = check_implementability(game)
+            assert result.bi_hierarchical == nx.is_bipartite(graph)
+            if result.bi_hierarchical:  # a valid 2-colouring
+                side = {v: 0 for v in result.partition[0]} | {v: 1 for v in result.partition[1]}
+                assert sorted(side) == sorted(graph.nodes)
+                assert len(side) == sum(map(len, result.partition))
+                assert all(side[u] != side[v] for u, v in graph.edges)
+            else:  # an odd cycle of crossing pairs
+                cycle = result.odd_cycle
+                assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+                assert all(graph.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+            verdicts.append(result.bi_hierarchical)
+        # both verdicts occur often enough for the comparison to mean something
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 10
+
     def test_disjoint_rows_are_laminar(self):
-        cons = tuple(AssignmentConstraint(frozenset({(i, j) for j in range(3)}), 1, 1,
+        cons = tuple(AssignmentConstraint([(i, j) for j in range(3)], 1, 1,
                                           label=f"row {i}") for i in range(2))
-        t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, 0.0, 0.0)
+        t = Target("t", [(0, 0)], [1.0], 0.0, 0.0)
         game = AraGame(2, 3, cons, (t,), validate_weights=False)
         assert check_implementability(game).bi_hierarchical
 
     def test_rows_and_columns_split(self):
-        rows = [AssignmentConstraint(frozenset({(i, j) for j in range(3)}), 1, 1,
+        rows = [AssignmentConstraint([(i, j) for j in range(3)], 1, 1,
                                      label=f"row {i}") for i in range(3)]
-        cols = [AssignmentConstraint(frozenset({(i, j) for i in range(3)}), 1, 1,
+        cols = [AssignmentConstraint([(i, j) for i in range(3)], 1, 1,
                                      label=f"col {j}") for j in range(3)]
-        t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, 0.0, 0.0)
+        t = Target("t", [(0, 0)], [1.0], 0.0, 0.0)
         game = AraGame(3, 3, tuple(rows + cols), (t,), validate_weights=False)
         result = check_implementability(game)
         assert result.bi_hierarchical
@@ -295,46 +341,75 @@ class TestImplementability:
 class TestTypes:
     def test_constraint_bounds_validated(self):
         with pytest.raises(GameError):
-            AssignmentConstraint(frozenset({(0, 0)}), 2, 1)
+            AssignmentConstraint([(0, 0)], 2, 1)
         with pytest.raises(GameError):
-            AssignmentConstraint(frozenset(), 0, 1)
+            AssignmentConstraint([], 0, 1)
 
     def test_target_payoff_order(self):
         with pytest.raises(GameError, match="undefended"):
-            Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, -5.0, -1.0)
+            Target("t", [(0, 0)], [1.0], -5.0, -1.0)
 
     def test_type_probabilities_must_sum_to_one(self):
-        con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1)
-        t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, 0.0, 0.0)
+        con = AssignmentConstraint([(0, 0)], 0, 1)
+        t = Target("t", [(0, 0)], [1.0], 0.0, 0.0)
         types = (AdversaryType("x", 0.4, frozenset({"t"})),)
         with pytest.raises(GameError, match="sum"):
             AraGame(1, 1, (con,), (t,), types)
 
     def test_types_must_partition_targets(self):
-        con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1)
-        t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, 0.0, 0.0)
+        con = AssignmentConstraint([(0, 0)], 0, 1)
+        t = Target("t", [(0, 0)], [1.0], 0.0, 0.0)
         types = (AdversaryType("x", 0.5, frozenset({"t"})),
                  AdversaryType("y", 0.5, frozenset({"t"})))
         with pytest.raises(GameError, match="share"):
             AraGame(1, 1, (con,), (t,), types)
 
     def test_target_cap(self):
-        con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1)
-        targets = tuple(Target(f"t{i}", frozenset({(0, 0)}), {}, 0.0, 0.0)
+        con = AssignmentConstraint([(0, 0)], 0, 1)
+        targets = tuple(Target(f"t{i}", [(0, 0)], [0.0], 0.0, 0.0)
                         for i in range(65))
         with pytest.raises(GameError, match="cap"):
             AraGame(1, 1, (con,), targets)
 
     def test_weight_bound_rejected_when_above_one(self):
-        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 2, label="row")
-        t = Target("t", frozenset({(0, 0), (0, 1)}), {(0, 0): 1.0, (0, 1): 1.0}, 0.0, 0.0)
+        con = AssignmentConstraint([(0, 0), (0, 1)], 0, 2, label="row")
+        t = Target("t", [(0, 0), (0, 1)], [1.0, 1.0], 0.0, 0.0)
         with pytest.raises(GameError, match="coverage above one"):
             AraGame(1, 2, (con,), (t,))
 
     def test_weight_bound_accepts_tight_case(self):
-        con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 2, label="row")
-        t = Target("t", frozenset({(0, 0), (0, 1)}), {(0, 0): 0.5, (0, 1): 0.5}, 0.0, 0.0)
+        con = AssignmentConstraint([(0, 0), (0, 1)], 0, 2, label="row")
+        t = Target("t", [(0, 0), (0, 1)], [0.5, 0.5], 0.0, 0.0)
         AraGame(1, 2, (con,), (t,))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AssignmentConstraint([(0, 0), (0, 1)], 0, 1, "c", coeffs=[1]),
+         "constraint 'c' has 1 coefficients for 2 cells"),
+        (lambda: Target("t", [(0, 0)], [0.5, 0.5], 0.0, 0.0),
+         "target 't' has 2 weights for 1 cells"),
+        (lambda: AssignmentConstraint([(0, 0, 1)], 0, 1, "c"),
+         "constraint 'c' cells must be (row, col) integer pairs"),
+        (lambda: Target("t", [(0, 0), (0,)], [0.5, 0.5], 0.0, 0.0),
+         "target 't' cells must be (row, col) integer pairs"),
+        (lambda: AraGame(1, 2, (AssignmentConstraint([(0, 1), (0, 0), (0, 1)], 0, 1, "c"),), ()),
+         "constraint 'c' repeats cell (0, 1)"),
+        (lambda: AraGame(1, 2, (), (Target("t", [(0, 1), (0, 1)], [0.5, 0.25], 0.0, 0.0),)),
+         "target 't' repeats cell (0, 1)"),
+        (lambda: AraGame(1, 2, (AssignmentConstraint([(0, 2)], 0, 1, "c"),), ()),
+         "constraint 'c' references cell (0, 2) outside 1x2"),
+        (lambda: AraGame(1, 2, (AssignmentConstraint([(0, 0)], 0, 1, "c", coeffs=[0]),), ()),
+         "constraint 'c' coefficients must be positive integers"),
+        (lambda: AraGame(1, 2, (AssignmentConstraint([(0, 0)], 0, 1, "c", coeffs=[1.5]),), ()),
+         "constraint 'c' coefficients must be positive integers"),
+        (lambda: AraGame(1, 2, (), (Target("t", [(0, 0)], [-0.5], 0.0, 0.0),)),
+         "target 't' has negative weights"),
+        (lambda: AraGame(2 ** 14, 2 ** 14, (), ()), "cells exceed the 134217728 cap"),
+    ], ids=["short-coeffs", "long-weights", "triple", "ragged", "repeated-constraint-cell",
+            "repeated-target-cell", "outside", "zero-coeff", "fractional-coeff",
+            "negative-weight", "too-many-cells"])
+    def test_bad_cells_and_values_are_refused(self, make, message):
+        with pytest.raises(GameError, match=re.escape(message)):
+            make()
 
     def test_pure_strategy_must_be_integral(self):
         with pytest.raises(GameError, match="fractional"):

@@ -12,8 +12,8 @@ from conftest import violations
 
 
 def test_single_cell_binary():
-    con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1)
-    t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, 0.0, -1.0)
+    con = AssignmentConstraint([(0, 0)], 0, 1)
+    t = Target("t", [(0, 0)], [1.0], 0.0, -1.0)
     game = AraGame(1, 1, (con,), (t,))
     assert sorted(int(s.values[0, 0]) for s in enumerate_pure(game)) == [0, 1]
 
@@ -56,9 +56,9 @@ def test_tsg_count_matches_hand_enumeration(fig1c_tsg):
 
 def test_enumeration_past_the_cap_is_refused(monkeypatch):
     # 35 strategies: the rows of four nonnegative cells summing to at most 3
-    game_cells = frozenset({(0, j) for j in range(4)})
+    game_cells = [(0, j) for j in range(4)]
     con = AssignmentConstraint(game_cells, 0, 3)
-    t = Target("t", game_cells, {c: 0.25 for c in game_cells}, 0.0, -1.0)
+    t = Target("t", game_cells, [0.25] * 4, 0.0, -1.0)
     game = AraGame(1, 4, (con,), (t,))
     monkeypatch.setattr(exact, "ENUM_CAP", 35)
     assert len(enumerate_pure(game)) == 35
@@ -70,8 +70,8 @@ def test_enumeration_past_the_cap_is_refused(monkeypatch):
 def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
     # the search goes one level deeper per cell
     monkeypatch.setattr(exact, "ENUM_CAP", 10)
-    cells = frozenset((0, j) for j in range(1500))
-    t = Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0)
+    cells = [(0, j) for j in range(1500)]
+    t = Target("t", cells, [1.0] * 1500, -1.0, -5.0)
     game = AraGame(1, 1500, (AssignmentConstraint(cells, 0, 1, label="row"),), (t,))
     with pytest.raises(GameError, match="cap of 10 pure strategies"):
         enumerate_pure(game)
@@ -80,8 +80,8 @@ def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
 def test_enumeration_past_the_byte_budget_is_refused(monkeypatch):
     # 2,001 strategies of 1 x 2,000 int64 cells would keep 32 MB; a 1 MiB
     # budget stops the search at 65 of them (16,000 bytes each)
-    cells = frozenset((0, j) for j in range(2000))
-    t = Target("t", cells, {c: 1.0 for c in cells}, -1.0, -5.0)
+    cells = [(0, j) for j in range(2000)]
+    t = Target("t", cells, [1.0] * 2000, -1.0, -5.0)
     game = AraGame(1, 2000, (AssignmentConstraint(cells, 0, 1, label="row"),), (t,))
     monkeypatch.setattr(exact, "MAX_ENUM_BYTES", 1 << 20)
     tracemalloc.start()
@@ -95,8 +95,8 @@ def test_enumeration_past_the_byte_budget_is_refused(monkeypatch):
 
 
 def test_single_strategy_value():
-    con = AssignmentConstraint(frozenset({(0, 0)}), 1, 1)
-    t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -5.0)
+    con = AssignmentConstraint([(0, 0)], 1, 1)
+    t = Target("t", [(0, 0)], [1.0], -1.0, -5.0)
     game = AraGame(1, 1, (con,), (t,))
     out = enumerate_pure(game)
     sol = exact_maximin(game, out)
@@ -105,9 +105,9 @@ def test_single_strategy_value():
 
 def test_matching_pennies_mix():
     # one marshal, two singleton schedules, symmetric payoffs: mix evenly
-    con = AssignmentConstraint(frozenset({(0, 0), (0, 1)}), 0, 1, label="row")
-    ta = Target("a", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -5.0)
-    tb = Target("b", frozenset({(0, 1)}), {(0, 1): 1.0}, -1.0, -5.0)
+    con = AssignmentConstraint([(0, 0), (0, 1)], 0, 1, label="row")
+    ta = Target("a", [(0, 0)], [1.0], -1.0, -5.0)
+    tb = Target("b", [(0, 1)], [1.0], -1.0, -5.0)
     game = AraGame(1, 2, (con,), (ta, tb))
     sol = exact_maximin(game, enumerate_pure(game))
     assert sol.value == pytest.approx(-3.0)  # coverage 1/2 on each

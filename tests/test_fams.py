@@ -44,7 +44,7 @@ class TestEncode:
                             (FlightSpec("f0", -1.0, -4.0), FlightSpec("ghost", -1.0, -2.0)))
         game = encode_fams(inst)
         t = game.target("ghost")
-        assert not t.cells
+        assert not len(t.cells)
         assert coverage(game, np.ones((1, 1)), "ghost") == 0.0
 
     def test_forbidden_pair_pins_cell(self):
@@ -73,7 +73,7 @@ def loop_fix_inequalities(x, pe0, rng):
     """Column-by-column reference for FamsFixer.fix_inequalities."""
     game, n = pe0.source_game, pe0.source_cols
     ids = [t.id for t in game.targets]
-    flight_cols = [sorted({j for _, j in t.cells}) for t in game.targets]
+    flight_cols = [sorted({j for _, j in t.cells.tolist()}) for t in game.targets]
     x = x.copy()
     while True:
         col_tot = x[:, :n].sum(axis=0)
@@ -111,7 +111,7 @@ class TestInstanceIndexes:
         game = encode_fams(inst)
         incidence = np.zeros((len(game.targets), game.n), dtype=np.int64)
         for t, target in enumerate(game.targets):
-            for _, j in target.cells:
+            for _, j in target.cells.tolist():
                 incidence[t, j] = 1
         fixer = FamsFixer(inst)
         assert fixer.flights_of == tuple(tuple(np.flatnonzero(col).tolist())

@@ -64,7 +64,8 @@ def _deliverable_capacity(inst):
     for con in game.constraints:
         if con.is_equality:
             continue
-        coeffs = {c[0] * game.n + c[1]: float(con.coeff(c)) for c in con.cells}
+        coeffs = [1] * len(con.cells) if con.coeffs is None else con.coeffs.tolist()
+        coeffs = {i * game.n + j: float(c) for (i, j), c in zip(con.cells.tolist(), coeffs)}
         prog.add_row(coeffs, "<=", con.upper)
     sol = solve_lp(prog)
     assert sol.status == "optimal"

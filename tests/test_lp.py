@@ -383,6 +383,19 @@ def test_perturbed_solution_fails_the_primal_check():
         lp_mod._verify_primal(lp, np.array([-1.0, -1.0]))
 
 
+@pytest.mark.parametrize("rhs, status", [(1.0, "optimal"), (-1.0, "infeasible")])
+def test_program_without_variables(rhs, status):
+    # the primal check once took a maximum over the empty solution vector
+    lp = LinearProgram(0)
+    lp.add_row({}, "<=", rhs, label="empty")
+    sol = solve_lp(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective_value == 0.0 and len(sol.values) == 0
+    else:
+        assert sol.infeasible_rows == ("empty",)
+
+
 def test_oversized_tableau_is_refused_before_allocating():
     n = 12_000
     lp = LinearProgram(n, objective=np.ones(n))

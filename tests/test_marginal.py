@@ -21,8 +21,8 @@ from conftest import random_raw_game, random_toy_fams, random_toy_tsg
 
 
 def test_single_saturating_target():
-    con = AssignmentConstraint(frozenset({(0, 0)}), 0, 1, label="cell")
-    t = Target("t", frozenset({(0, 0)}), {(0, 0): 1.0}, -1.0, -5.0)
+    con = AssignmentConstraint([(0, 0)], 0, 1, label="cell")
+    t = Target("t", [(0, 0)], [1.0], -1.0, -5.0)
     game = AraGame(1, 1, (con,), (t,))
     ms = solve_marginal(game)
     assert ms.upper_bound == pytest.approx(-1.0)
@@ -127,7 +127,7 @@ def _small_fams(seed: int) -> FamsInstance:
 def _with_redundant_cell_bound(game: AraGame) -> AraGame:
     """The same polytope, but row 0 gets a second single-row constraint, so
     its rows no longer count as interchangeable."""
-    extra = AssignmentConstraint(frozenset({(0, 0)}), 0, game.constraints[0].upper,
+    extra = AssignmentConstraint([(0, 0)], 0, game.constraints[0].upper,
                                  label="redundant")
     return AraGame(game.k, game.n, game.constraints + (extra,), game.targets,
                    game.adversary_types, validate_weights=False)
@@ -194,12 +194,12 @@ def test_tsg_keeps_full_lp(seed, lp_solutions):
 def test_infeasible_symmetric_game_names_source_constraints(lp_solutions):
     # three rows that must each place one unit, but two columns of capacity one
     k, n = 3, 2
-    budgets = tuple(AssignmentConstraint(frozenset((i, j) for j in range(n)), 1, 1,
+    budgets = tuple(AssignmentConstraint([(i, j) for j in range(n)], 1, 1,
                                          label=f"row {i}") for i in range(k))
-    columns = tuple(AssignmentConstraint(frozenset((i, j) for i in range(k)), 0, 1,
+    columns = tuple(AssignmentConstraint([(i, j) for i in range(k)], 0, 1,
                                          label=f"column {j}") for j in range(n))
-    targets = tuple(Target(f"t{j}", frozenset((i, j) for i in range(k)),
-                           {(i, j): 1.0 for i in range(k)}, -1.0, -3.0) for j in range(n))
+    targets = tuple(Target(f"t{j}", [(i, j) for i in range(k)], [1.0] * k, -1.0, -3.0)
+                    for j in range(n))
     game = AraGame(k, n, budgets + columns, targets)
     with pytest.raises(GameInfeasibleError) as err:
         solve_marginal(game)
@@ -210,11 +210,15 @@ def test_infeasible_symmetric_game_names_source_constraints(lp_solutions):
     assert all(any(name in row for name in names) for row in err.value.rows)
 
 
+def _min_pos(cells) -> int:
+    """The position of the smallest (row, col) pair in ``cells``."""
+    return int(np.lexsort(cells.T[::-1])[0])
+
+
 def _break_weight(game):
     t = game.targets[0]
-    weights = dict(t.weights)
-    cell = min(weights)
-    weights[cell] = 0.5
+    weights = t.weights.copy()
+    weights[_min_pos(t.cells)] = 0.5
     targets = (Target(t.id, t.cells, weights, t.payoff_defended, t.payoff_undefended),)
     return AraGame(game.k, game.n, game.constraints, targets + game.targets[1:])
 
@@ -223,7 +227,9 @@ def _break_coeff(game):
     cons = list(game.constraints)
     ci = next(i for i, c in enumerate(cons) if c.label.startswith("flight"))
     con = cons[ci]
-    cons[ci] = AssignmentConstraint(con.cells, con.lower, 2, con.label, {min(con.cells): 2})
+    coeffs = np.ones(len(con.cells))
+    coeffs[_min_pos(con.cells)] = 2
+    cons[ci] = AssignmentConstraint(con.cells, con.lower, 2, con.label, coeffs)
     return AraGame(game.k, game.n, tuple(cons), game.targets, validate_weights=False)
 
 
@@ -257,13 +263,13 @@ def _over_columns_loop(game: AraGame):
     budgets: dict[int, AssignmentConstraint] = {}
     others = []
     for con in game.constraints:
-        rows = {i for i, _ in con.cells}
+        rows = {i for i, _ in con.cells.tolist()}
         if len(rows) == 1:
             i = rows.pop()
             if i in budgets:
                 return None
             budgets[i] = con
-        elif _same_in_every_row_loop(k, ((c, con.coeff(c)) for c in con.cells)):
+        elif _same_in_every_row_loop(k, _cell_coeffs(con)):
             others.append(con)
         else:
             return None
@@ -274,14 +280,29 @@ def _over_columns_loop(game: AraGame):
         return None
     for con in budgets.values():
         if ((con.lower, con.upper) != (first.lower, first.upper) or len(con.cells) != n
-                or any(con.coeff(c) != 1 for c in con.cells)):
+                or any(c != 1 for _, c in _cell_coeffs(con))):
             return None
-    if not all(_same_in_every_row_loop(k, t.weights.items()) for t in game.targets):
+    if not all(_same_in_every_row_loop(k, zip(t.cells.tolist(), t.weights.tolist()))
+               for t in game.targets):
         return None
-    summed = AssignmentConstraint(frozenset((i, j) for i in range(k) for j in range(n)),
+    summed = AssignmentConstraint([(i, j) for i in range(k) for j in range(n)],
                                   k * first.lower, k * first.upper,
                                   label=f"{first.name()} .. {last.name()} summed")
     return (summed, *others)
+
+
+def _cell_coeffs(con) -> list:
+    """A constraint's (cell, coefficient) pairs."""
+    coeffs = [1] * len(con.cells) if con.coeffs is None else con.coeffs.tolist()
+    return list(zip(map(tuple, con.cells.tolist()), coeffs))
+
+
+def _described(found):
+    """An ``_over_columns`` result in comparable form: each constraint's
+    sorted (cell, coefficient) pairs, bounds and label."""
+    if found is None:
+        return None
+    return [(sorted(_cell_coeffs(c)), c.lower, c.upper, c.label) for c in found]
 
 
 def _same_in_every_row_loop(k, entries) -> bool:
@@ -301,46 +322,46 @@ def _random_symmetric_game(rng) -> AraGame:
     k, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     upper = int(rng.integers(1, 3))
     lower = upper if rng.random() < 0.5 else 0
-    cons = [AssignmentConstraint(frozenset((i, j) for j in range(n)), lower, upper,
+    cons = [AssignmentConstraint([(i, j) for j in range(n)], lower, upper,
                                  label=f"row {i}") for i in range(k)]
     for c in range(int(rng.integers(0, 3))):
         cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         per_col = {int(j): int(rng.integers(1, 3)) for j in cols}
         coeffs = {(i, j): c for j, c in per_col.items() for i in range(k)}
-        cons.append(AssignmentConstraint(frozenset(coeffs), 0, k * upper * 2,
-                                         label=f"con {c}", coeffs=coeffs))
+        cons.append(AssignmentConstraint(list(coeffs), 0, k * upper * 2,
+                                         label=f"con {c}", coeffs=list(coeffs.values())))
     targets = []
     for t in range(int(rng.integers(1, 4))):
         cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         per_col = {int(j): float(rng.integers(1, 3)) / 4 for j in cols}
         weights = {(i, j): w for j, w in per_col.items() for i in range(k)}
-        targets.append(Target(f"t{t}", frozenset(weights), weights, -1.0, -5.0))
+        targets.append(Target(f"t{t}", list(weights), list(weights.values()), -1.0, -5.0))
     change = int(rng.integers(0, 12))  # 1-8 change the game
     if change == 1:  # another budget's bounds
         i = int(rng.integers(k))
         cons[i] = AssignmentConstraint(cons[i].cells, 0, upper + 1, cons[i].label)
     elif change == 2:  # a budget that misses a cell
-        cells = sorted(cons[0].cells)
+        cells = sorted(cons[0].cells.tolist())
         if len(cells) > 1:
-            cons[0] = AssignmentConstraint(frozenset(cells[1:]), lower, upper, cons[0].label)
+            cons[0] = AssignmentConstraint(cells[1:], lower, upper, cons[0].label)
     elif change == 3:  # a budget coefficient above one
-        cell = min(cons[0].cells)
-        cons[0] = AssignmentConstraint(cons[0].cells, lower, upper * 2, cons[0].label,
-                                       {cell: 2})
+        coeffs = np.ones(len(cons[0].cells))
+        coeffs[_min_pos(cons[0].cells)] = 2
+        cons[0] = AssignmentConstraint(cons[0].cells, lower, upper * 2, cons[0].label, coeffs)
     elif change == 4:  # a second single-row constraint
-        cons.append(AssignmentConstraint(frozenset({(k - 1, 0)}), 0, 1, label="extra"))
+        cons.append(AssignmentConstraint([(k - 1, 0)], 0, 1, label="extra"))
     elif change == 5 and k > 1:  # a row with no budget
         cons.pop(0)
     elif change == 6 and len(cons) > k:  # a constraint that misses one row of a column
         con = cons[-1]
-        cells = con.cells - {min(con.cells)}
-        if {i for i, _ in cells} and len({i for i, _ in cells}) > 1:
-            cons[-1] = AssignmentConstraint(cells, con.lower, con.upper, con.label,
-                                            {c: con.coeff(c) for c in cells})
+        kept = sorted(_cell_coeffs(con))[1:]
+        if len({i for (i, _), _ in kept}) > 1:
+            cons[-1] = AssignmentConstraint([c for c, _ in kept], con.lower, con.upper, con.label,
+                                            [m for _, m in kept])
     elif change == 7:  # one target weight differs
         t = targets[0]
-        weights = dict(t.weights)
-        weights[min(weights)] += 0.25
+        weights = t.weights.copy()
+        weights[_min_pos(t.cells)] += 0.25
         targets[0] = Target(t.id, t.cells, weights, -1.0, -5.0)
     elif change == 8 and lower == upper and upper > 1:  # budgets in [1, upper]
         cons[:k] = [AssignmentConstraint(c.cells, 1, upper, c.label) for c in cons[:k]]
@@ -366,7 +387,7 @@ def test_over_columns_matches_loop_reference(fig1b_fams):
     games += [game] + [mutate(game) for mutate in (_break_weight, _break_coeff,
                                                     _break_budget_bounds, _break_budget_equal)]
     found = [marginal._over_columns(g) for g in games]
-    assert found == [_over_columns_loop(g) for g in games]
+    assert [_described(f) for f in found] == [_described(_over_columns_loop(g)) for g in games]
     # both answers occur often enough for the comparison to mean something
     assert sum(f is None for f in found) > 50
     assert sum(f is not None for f in found) > 50

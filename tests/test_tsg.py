@@ -56,7 +56,7 @@ class TestEncode:
             risk_levels=(RiskLevel("risk", 1.0),))
         game = encode_tsg(inst)
         cap = next(c for c in game.constraints if c.name() == "capacity r")
-        assert cap.coeff((0, 0)) == 2
+        assert cap.cells.tolist() == [[0, 0]] and cap.coeffs.tolist() == [2]
         m = np.full((1, 1), 2, dtype=np.int64)
         assert violations(game, m) == []  # 2 units x 2 draws = 4 = capacity
         inst_tight = TsgInstance(
@@ -285,9 +285,8 @@ class TestDetectionRatio:
         res = tsg_detection_ratio(before, stack, game)
         worst = 1.0
         for t in game.targets:
-            b = sum(w * before[c] for c, w in t.weights.items())
-            ratios = [1.0 if b < 1e-12 else sum(w * s[c] for c, w in t.weights.items()) / b
-                      for s in stack]
+            b = coverage(game, before, t.id)
+            ratios = [1.0 if b < 1e-12 else coverage(game, s, t.id) / b for s in stack]
             assert res.per_category[t.id] == pytest.approx(min(ratios), abs=1e-12)
             worst = min(worst, *ratios)
         assert res.per_category["empty"] == 1.0
