@@ -53,37 +53,38 @@ def run_method(family: str, inst, method: str, seed: int, samples: int = DEFAULT
                cutoff_s: float = DEFAULT_CUTOFF_S, digest: str = "") -> SolveReport:
     """Solve one instance with one method and wrap the outcome in a report."""
     start = time.monotonic()
-    game = _encode(family, inst)
     detection = None
     failures = 0
 
-    if method == "marginal-bound":
-        ms = solve_marginal(game)
-        value = upper = ms.upper_bound
-    elif method == "exact":
-        value = upper = exact_maximin(game, enumerate_pure(game)).value
-    elif method == "cg":
+    if method == "cg":  # column generation encodes the instance itself
         if family != "fams":
             raise GameError("column generation only applies to air-marshal instances")
         value = upper = fams_column_generation(inst, cutoff_s=cutoff_s).value
-    elif method == "rand":
-        if family == "fams":
-            fixer = FamsFixer(inst)
-        elif family == "tsg":
-            fixer = TsgFixer(inst)
-        else:
-            raise GameError("the sampling pipeline needs a domain fixer; "
-                            "raw games support exact and marginal-bound only")
-        pe0 = to_pe0(game)
-        ms = solve_marginal(pe0.game)
-        rng = np.random.default_rng(seed)
-        result = estimate_mixed(ms, pe0, fixer, rng, samples)
-        value, upper, failures = result.value, ms.upper_bound, result.sample_failures
-        if family == "tsg":
-            stacked = np.stack([s.values for s in result.estimate.samples])
-            detection = tsg_detection_ratio(ms.x_m.values, stacked, game).min_ratio
     else:
-        raise GameError(f"unknown method {method!r}")
+        game = _encode(family, inst)
+        if method == "marginal-bound":
+            ms = solve_marginal(game)
+            value = upper = ms.upper_bound
+        elif method == "exact":
+            value = upper = exact_maximin(game, enumerate_pure(game)).value
+        elif method == "rand":
+            if family == "fams":
+                fixer = FamsFixer(inst)
+            elif family == "tsg":
+                fixer = TsgFixer(inst)
+            else:
+                raise GameError("the sampling pipeline needs a domain fixer; "
+                                "raw games support exact and marginal-bound only")
+            pe0 = to_pe0(game)
+            ms = solve_marginal(pe0.game)
+            rng = np.random.default_rng(seed)
+            result = estimate_mixed(ms, pe0, fixer, rng, samples)
+            value, upper, failures = result.value, ms.upper_bound, result.sample_failures
+            if family == "tsg":
+                stacked = np.stack([s.values for s in result.estimate.samples])
+                detection = tsg_detection_ratio(ms.x_m.values, stacked, game).min_ratio
+        else:
+            raise GameError(f"unknown method {method!r}")
 
     wall_ms = int((time.monotonic() - start) * 1000)
     return SolveReport(method, float(value), float(upper), wall_ms, seed, digest,

@@ -5,16 +5,19 @@ heuristic, the exact best-response search, and a plain column-generation
 solver used as the exact baseline.
 
 The best response (``fams_dbr``) is one branch and bound that packs
-flight-disjoint schedules under one weight per schedule.  Forbidden pairs
-enter only through a bipartite matching of the restricted schedules to
-their allowed marshals, grown by one augmenting path per restricted pick,
-so an instance without forbidden pairs does no matching work at all.
+flight-disjoint schedules under one weight per schedule; a schedule's
+flights are one int bitmask.  Forbidden pairs enter only through a
+bipartite matching of the restricted schedules to their allowed marshals,
+grown by one augmenting path per restricted pick, so an instance without
+forbidden pairs does no matching work at all.  The tables the search reads
+of an instance (``DbrTables``) are built once per column-generation solve.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -221,18 +224,38 @@ def _flight_major(flights_of) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
-def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf) -> PureStrategy:
+class DbrTables:
+    """What ``fams_dbr`` reads of an instance besides its sizes: each
+    schedule's flights as one int bitmask (bit t for ``inst.flights[t]``),
+    and each schedule's allowed marshals, None for an unrestricted one.
+    They depend on the instance only, so column generation builds them once
+    per solve and passes them to every search."""
+
+    def __init__(self, inst: FamsInstance):
+        k = inst.num_marshals
+        self.masks = tuple(sum(1 << f for f in flights) for flights in _schedule_flights(inst))
+        col = {s.id: j for j, s in enumerate(inst.schedules)}
+        banned = [set() for _ in inst.schedules]
+        for m, sid in inst.forbidden:
+            banned[col[sid]].add(m)
+        self.allowed = tuple(tuple(m for m in range(k) if m not in b) if b else None
+                             for b in banned)
+
+
+def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf,
+             tables: DbrTables | None = None) -> PureStrategy:
     """Exact defender best response: the pure strategy of largest summed
     weight ``w[j]`` over its allocated schedules j.
 
     A pure strategy is a set of flight-disjoint schedules, one marshal each,
     so the search is a branch and bound over schedules in order of falling
-    weight: each node extends the packing with a later schedule, while at
-    most ``slots`` marshals remain.  It is bounded by the top ``slots``
-    weights left and by ``total_mass`` minus the packed weight (the summed
-    per-flight masses when ``w[j]`` sums the masses of j's flights, as in
-    column generation: no packing beats the uncovered mass).  Past
-    ``NODE_CAP`` nodes it raises ``DbrNodeCapError``.
+    weight, ties to the lower column: each node extends the packing with a
+    later schedule, while at most ``slots`` marshals remain.  It is bounded
+    by the top ``slots`` weights left and by ``total_mass`` minus the packed
+    weight (the summed per-flight masses when ``w[j]`` sums the masses of
+    j's flights, as in column generation: no packing beats the uncovered
+    mass).  The flights of a packing are one int bitmask, so the conflict
+    test is one AND.  Past ``NODE_CAP`` nodes it raises ``DbrNodeCapError``.
 
     A packing of at most k schedules can be flown exactly when its
     restricted schedules (those some marshal may not fly) can be matched to
@@ -242,6 +265,9 @@ def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf) -> P
     skipped when no path exists; a schedule no marshal may fly never enters
     the search.  Without forbidden pairs no schedule is restricted, and the
     i-th schedule of the best packing, in weight order, goes to marshal i.
+
+    ``tables`` is ``DbrTables(inst)``, built here when not given; a caller
+    that searches one instance many times builds it once.
     """
     k, n = inst.num_marshals, len(inst.schedules)
     w = np.asarray(w, dtype=float)
@@ -249,21 +275,23 @@ def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf) -> P
         raise GameError(f"weight shape {w.shape} does not match {(n,)}")
     if np.any(w < 0):
         raise GameError("best-response weights must be nonnegative")
-    col = {s.id: j for j, s in enumerate(inst.schedules)}
-    banned = [set() for _ in range(n)]
-    for m, sid in inst.forbidden:
-        banned[col[sid]].add(m)
-    # None for an unrestricted schedule, else its allowed marshals
-    allowed = [tuple(m for m in range(k) if m not in b) if b else None for b in banned]
-    order = sorted((j for j in range(n) if w[j] > 1e-12 and allowed[j] != ()),
-                   key=lambda j: (-w[j], j))
-    flights = [inst.schedules[j].flights for j in order]
-    # Python floats: the same sums as in NumPy, without the scalar overhead
-    weights = w[order].tolist()
-    prefix = [0.0] + np.cumsum(weights).tolist()
+    if tables is None:
+        tables = DbrTables(inst)
+    allowed = tables.allowed
+    # Python floats: the same sums as in NumPy, without the scalar overhead;
+    # the sort is stable, so equal weights keep their ascending columns
+    weight_of = w.tolist()
+    order = sorted((j for j in np.flatnonzero(w > 1e-12).tolist() if allowed[j] != ()),
+                   key=weight_of.__getitem__, reverse=True)
+    masks = [tables.masks[j] for j in order]
+    weights = [weight_of[j] for j in order]
+    prefix = list(accumulate(weights, initial=0.0))
+    size = len(weights)
     tie_eps = 1e-12 * max(1.0, prefix[-1])
+    cap = NODE_CAP
 
     best_value, best_set, best_owner = 0.0, [], [None] * k
+    bar = best_value + tie_eps  # a bound at or below this cannot beat the best
     chosen: list[int] = []
     owner: list[int | None] = [None] * k  # the restricted schedule each marshal flies
     nodes = 0
@@ -277,38 +305,40 @@ def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf) -> P
                     return True
         return False
 
-    def suffix_top(t: int, slots: int) -> float:
-        return prefix[min(t + slots, len(weights))] - prefix[t]
-
-    def rec(start: int, slots: int, value: float, covered: frozenset, mass_left: float):
-        nonlocal best_value, best_set, best_owner, nodes
+    def rec(start: int, slots: int, value: float, covered: int, mass_left: float):
+        nonlocal best_value, best_set, best_owner, bar, nodes
         if value > best_value:
             best_value, best_set, best_owner = value, chosen.copy(), owner.copy()
-        if slots == 0 or start >= len(weights):
+            bar = best_value + tie_eps
+        if slots == 0 or start >= size:
             return
-        if value + min(suffix_top(start, slots), mass_left) <= best_value + tie_eps:
+        # the top ``slots`` weights from ``start`` on, capped by the mass left
+        end = start + slots
+        top = prefix[end if end < size else size] - prefix[start]
+        if value + (mass_left if mass_left < top else top) <= bar:
             return
-        for t in range(start, len(weights)):
+        for t in range(start, size):
             nodes += 1
-            if nodes > NODE_CAP:
-                raise DbrNodeCapError(f"best-response search passed {NODE_CAP} nodes; "
+            if nodes > cap:
+                raise DbrNodeCapError(f"best-response search passed {cap} nodes; "
                                       "shrink the instance for the column-generation baseline")
-            if value + suffix_top(t, slots) <= best_value + tie_eps:
+            end = t + slots
+            if value + (prefix[end if end < size else size] - prefix[t]) <= bar:
                 return
-            if flights[t] & covered:
+            if masks[t] & covered:
                 continue
             j = order[t]
             saved = owner.copy() if allowed[j] is not None else None
             if saved is not None and not augment(j, set()):
                 continue  # a failed search leaves ``owner`` as it was
             chosen.append(j)
-            rec(t + 1, slots - 1, value + weights[t], covered | flights[t],
+            rec(t + 1, slots - 1, value + weights[t], covered | masks[t],
                 mass_left - weights[t])
             chosen.pop()
             if saved is not None:
                 owner[:] = saved
 
-    rec(0, min(k, len(weights)), 0.0, frozenset(), total_mass)
+    rec(0, min(k, size), 0.0, 0, total_mass)
     matrix = np.zeros((k, n), dtype=np.int64)
     free = iter([m for m in range(k) if best_owner[m] is None])
     for j in best_set:
@@ -350,11 +380,12 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) ->
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
     flight_of, col_of = _flight_major(_schedule_flights(inst))
+    tables = DbrTables(inst)
     mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
     empty = PureStrategy(np.zeros((inst.num_marshals, len(inst.schedules)), dtype=np.int64))
     columns = [empty]
-    cov = compiled.coverages(empty)
+    cov = np.zeros(mix_row)
     seen = {cov.tobytes()}
     master = maximin_lp(game, cov[None])
     state = None
@@ -374,8 +405,10 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) ->
         # here runs in flight order
         masses = y * delta
         col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=len(inst.schedules))
-        column = fams_dbr(inst, col_mass, total_mass=sum(masses.tolist()))
-        cov = compiled.coverages(column)
+        column = fams_dbr(inst, col_mass, total_mass=sum(masses.tolist()), tables=tables)
+        # each flight's marshals, summed over the schedules flying it: small
+        # integers, so the same floats as ``compiled.coverages(column)``
+        cov = np.bincount(flight_of, weights=column.values.sum(axis=0)[col_of], minlength=mix_row)
         util = u_undef + cov * delta
         slave_value = sum((y * util).tolist())
         # a priced column already present means numerical convergence

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ara import cli, exact, jsonio, lp
+from ara import cli, exact, fams, jsonio, lp
 from ara.cli import main, run_method
 from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
@@ -139,6 +139,18 @@ class TestSolveCommand:
         assert reads == [str(tsg_file)]
         digest = jsonio.instance_digest(json.loads(tsg_file.read_text()))
         assert json.loads(out.read_text())["instance_digest"] == digest
+
+    def test_cg_encodes_the_instance_once(self, fig1b_fams, monkeypatch):
+        encodes = []
+
+        def counted(inst):
+            encodes.append(inst)
+            return encode_fams(inst)
+
+        monkeypatch.setattr(cli, "encode_fams", counted)
+        monkeypatch.setattr(fams, "encode_fams", counted)
+        run_method("fams", fig1b_fams, "cg", seed=0)
+        assert encodes == [fig1b_fams]
 
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3

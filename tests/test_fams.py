@@ -18,6 +18,7 @@ from ara.fams import (
     fams_dbr,
 )
 from ara.generators import GenConfig, gen_fams
+from ara.lp import solve_lp
 from ara.marginal import solve_marginal
 from ara.sampling import _CombSampler, to_pe0
 from conftest import constraint_sum, coverage, random_toy_fams, violations, with_random_forbidden
@@ -304,6 +305,20 @@ class TestDbr:
         with pytest.raises(DbrNodeCapError, match="shrink"):
             fams_dbr(fig1b_fams, np.ones(3))
 
+    def test_exploration_order_is_pinned(self):
+        # weights from {1, 2, 3} tie often, so the packing returned shows the
+        # visit order and tie rules; the digest was recorded with the
+        # frozenset search, before flights became bitmasks
+        digest = hashlib.sha256()
+        for seed in range(12):
+            rng = np.random.default_rng(900 + seed)
+            inst = with_random_forbidden(random_toy_fams(rng), rng)
+            for _ in range(4):
+                w = rng.integers(1, 4, size=len(inst.schedules)).astype(float)
+                digest.update(fams_dbr(inst, w).values.tobytes())
+        assert digest.hexdigest() == (
+            "1c72d4044198728e020129e9760bc0492607e0d4f2fd1cf71ba21c4a5f6e5ccf")
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_on_random_weights(self, seed):
         rng = np.random.default_rng(400 + seed)
@@ -449,10 +464,64 @@ class TestSeededColumnGeneration:
          "7d28ded88af708f75157c1f0cbebffe068a73cd676b76dfa95df95aa5df6ca90"),
     ])
     def test_fams_cg_sizes(self, seed, value, iterations, digest):
-        inst = gen_fams(GenConfig(seed=seed, family="fams", flights=18, schedules=36,
-                                  targets_per_schedule=2, resources=7))
+        self._check(_fams_cg_instance(seed), value, iterations, digest)
+
+    # recorded with the frozenset search, before flights became bitmasks
+    @pytest.mark.parametrize("seed, value, iterations, digest", [
+        (6, -2.190363722248467, 57,
+         "9530a4af42b10616b14b7236ccc5d209e622b5e657b4bc58e7880f730e9bb243"),
+        (7, -1.776340110905732, 68,
+         "167b3d69812b62f7986b97d5921a6fcd5b647ed53d647938b0e445e1f2796a36"),
+    ])
+    def test_fams_cg_with_forbidden_pairs(self, seed, value, iterations, digest):
+        inst = with_random_forbidden(_fams_cg_instance(seed), np.random.default_rng(seed))
+        assert len(inst.forbidden) > 60
+        self._check(inst, value, iterations, digest)
+
+    @staticmethod
+    def _check(inst, value, iterations, digest):
         cg = fams_column_generation(inst)
         stacked = np.stack([s.values for s in cg.strategies]).astype(np.int64)
         assert cg.value == value
         assert cg.iterations == iterations
         assert hashlib.sha256(stacked.tobytes() + cg.weights.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, forbidden", [(0, False), (2, False), (3, False),
+                                                 (6, True), (7, True)])
+    def test_master_columns_are_the_compiled_coverages(self, seed, forbidden, monkeypatch):
+        # column generation counts each priced column's flight coverage from
+        # the flight x schedule pairs; its master columns must hold the
+        # utilities of ``compiled.coverages`` to the last bit
+        inst = _fams_cg_instance(seed)
+        if forbidden:
+            inst = with_random_forbidden(inst, np.random.default_rng(seed))
+        masters = []
+
+        def kept(prog, **kwargs):
+            masters.append(prog)
+            return solve_lp(prog, **kwargs)
+
+        monkeypatch.setattr(fams, "solve_lp", kept)
+        cg = fams_column_generation(inst)
+        compiled = encode_fams(inst).compiled
+        u_undef = compiled.payoff_undefended
+        util = u_undef + compiled.coverages(np.stack([s.values for s in cg.strategies])) * (
+            compiled.payoff_defended - u_undef)
+        rows, var, coeff = masters[-1].entries
+        mix_row = len(u_undef)
+        # variables: the empty allocation, the type's z, then the priced columns
+        for j, u in enumerate(util[1:], start=2):
+            mine = var == j
+            expected = np.zeros(mix_row + 1)
+            expected[:mix_row] = -u
+            expected[mix_row] = 1.0
+            got = np.zeros(mix_row + 1)
+            got[rows[mine]] = coeff[mine]
+            assert got.tobytes() == expected.tobytes()
+        assert masters[-1].num_vars == len(cg.strategies) + 1
+
+
+def _fams_cg_instance(seed):
+    """An instance of the benchmark's ``fams-cg`` size."""
+    return gen_fams(GenConfig(seed=seed, family="fams", flights=18, schedules=36,
+                              targets_per_schedule=2, resources=7))
