@@ -22,7 +22,6 @@ from ara.jsonio import (
     ParseError,
     fams_to_json,
     instance_digest,
-    load_instance,
     parse_instance,
     read_json,
     tsg_to_json,
@@ -202,7 +201,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check_impl(args) -> int:
-    family, inst = load_instance(args.instance)
+    family, inst = parse_instance(read_json(args.instance))
     game = _encode(family, inst)
     result = check_implementability(game)
     if result.bi_hierarchical:

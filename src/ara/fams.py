@@ -225,25 +225,27 @@ def _flight_major(flights_of) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DbrTables:
-    """What ``fams_dbr`` reads of an instance besides its sizes: each
-    schedule's flights as one int bitmask (bit t for ``inst.flights[t]``),
-    and each schedule's allowed marshals, None for an unrestricted one.
-    They depend on the instance only, so column generation builds them once
-    per solve and passes them to every search."""
+    """What ``fams_dbr`` and column generation read of an instance: its
+    sizes ``k`` and ``n``, each schedule's flights as one int bitmask (bit t
+    for ``inst.flights[t]``), each schedule's allowed marshals (None for an
+    unrestricted one), and the (flight, schedule) pairs of ``_flight_major``
+    as ``flight_of`` and ``col_of``.  They depend on the instance only, so
+    column generation builds them once per solve."""
 
     def __init__(self, inst: FamsInstance):
-        k = inst.num_marshals
-        self.masks = tuple(sum(1 << f for f in flights) for flights in _schedule_flights(inst))
+        self.k, self.n = inst.num_marshals, len(inst.schedules)
+        flights_of = _schedule_flights(inst)
+        self.masks = tuple(sum(1 << f for f in flights) for flights in flights_of)
+        self.flight_of, self.col_of = _flight_major(flights_of)
         col = {s.id: j for j, s in enumerate(inst.schedules)}
         banned = [set() for _ in inst.schedules]
         for m, sid in inst.forbidden:
             banned[col[sid]].add(m)
-        self.allowed = tuple(tuple(m for m in range(k) if m not in b) if b else None
+        self.allowed = tuple(tuple(m for m in range(self.k) if m not in b) if b else None
                              for b in banned)
 
 
-def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf,
-             tables: DbrTables | None = None) -> PureStrategy:
+def fams_dbr(tables: DbrTables, w: np.ndarray, total_mass: float) -> PureStrategy:
     """Exact defender best response: the pure strategy of largest summed
     weight ``w[j]`` over its allocated schedules j.
 
@@ -265,18 +267,13 @@ def fams_dbr(inst: FamsInstance, w: np.ndarray, total_mass: float = np.inf,
     skipped when no path exists; a schedule no marshal may fly never enters
     the search.  Without forbidden pairs no schedule is restricted, and the
     i-th schedule of the best packing, in weight order, goes to marshal i.
-
-    ``tables`` is ``DbrTables(inst)``, built here when not given; a caller
-    that searches one instance many times builds it once.
     """
-    k, n = inst.num_marshals, len(inst.schedules)
+    k, n = tables.k, tables.n
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise GameError(f"weight shape {w.shape} does not match {(n,)}")
     if np.any(w < 0):
         raise GameError("best-response weights must be nonnegative")
-    if tables is None:
-        tables = DbrTables(inst)
     allowed = tables.allowed
     # Python floats: the same sums as in NumPy, without the scalar overhead;
     # the sort is stable, so equal weights keep their ascending columns
@@ -354,7 +351,7 @@ class CgResult:
     iterations: int
 
 
-def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) -> CgResult:
+def fams_column_generation(inst: FamsInstance, cutoff_s: float = np.inf) -> CgResult:
     """Exact zero-sum value by column generation.
 
     The restricted master is the maximin LP (``maximin_lp``) over generated
@@ -379,11 +376,11 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) ->
     compiled = game.compiled  # targets are the flights, in flight order
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
-    flight_of, col_of = _flight_major(_schedule_flights(inst))
     tables = DbrTables(inst)
+    flight_of, col_of = tables.flight_of, tables.col_of
     mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
-    empty = PureStrategy(np.zeros((inst.num_marshals, len(inst.schedules)), dtype=np.int64))
+    empty = PureStrategy(np.zeros((tables.k, tables.n), dtype=np.int64))
     columns = [empty]
     cov = np.zeros(mix_row)
     seen = {cov.tobytes()}
@@ -391,7 +388,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) ->
     state = None
 
     for it in range(1, CG_MAX_ITERS + 1):
-        if cutoff_s is not None and time.monotonic() - start > cutoff_s:
+        if time.monotonic() - start > cutoff_s:
             raise SolveTimeout(cutoff_s)
         sol = solve_lp(master, warm=state)
         if sol.status != "optimal":
@@ -404,8 +401,8 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float | None = None) ->
         # a schedule is priced at the summed mass of its flights; every sum
         # here runs in flight order
         masses = y * delta
-        col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=len(inst.schedules))
-        column = fams_dbr(inst, col_mass, total_mass=sum(masses.tolist()), tables=tables)
+        col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=tables.n)
+        column = fams_dbr(tables, col_mass, sum(masses.tolist()))
         # each flight's marshals, summed over the schedules flying it: small
         # integers, so the same floats as ``compiled.coverages(column)``
         cov = np.bincount(flight_of, weights=column.values.sum(axis=0)[col_of], minlength=mix_row)

@@ -138,11 +138,6 @@ def read_json(path: str):
         raise ParseError(path, f"line {exc.lineno}: {exc.msg}") from exc
 
 
-def load_instance(path: str):
-    """Read an instance file; returns (family, parsed instance)."""
-    return parse_instance(read_json(path))
-
-
 def parse_instance(data: dict):
     """An instance file's parsed contents; returns (family, instance)."""
     family = detect_family(data)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from ara.core import GameError
+
 VALUE_BOUND_TOL = 1e-6
 
 METHODS = ("rand", "exact", "cg", "marginal-bound")
@@ -19,12 +21,11 @@ class SolveReport:
     seed: int | None
     instance_digest: str
     sample_failures: int = 0
-    loss_pct: float | None = None
     detection_ratio: float | None = None  # TSG: min per-category ratio across samples
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise GameError(f"unknown method {self.method!r}")
 
     @property
     def c_measured(self) -> float | None:
@@ -34,13 +35,14 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         if self.value > self.upper_bound + VALUE_BOUND_TOL:
-            raise ValueError(f"report value {self.value} exceeds its upper bound "
-                             f"{self.upper_bound}")
+            raise GameError(f"report value {self.value} exceeds its upper bound "
+                            f"{self.upper_bound}")
         data = asdict(self)
         data["c_measured"] = self.c_measured
         return data
 
     def write(self, path: str) -> None:
+        data = self.to_dict()  # before the file is opened, so a refused report writes none
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -73,7 +73,6 @@ class Pe0Form:
 
     game: AraGame
     equality_partition: tuple[AssignmentConstraint, ...]
-    inequalities: tuple[AssignmentConstraint, ...]
     source_game: AraGame
     source_cols: int
 
@@ -89,12 +88,6 @@ class Pe0Form:
             cell = int(np.argmax(count != 1))
             problem = "overlap at" if count[cell] else "do not cover"
             raise Pe0StructureError(f"equalities {problem} cell {divmod(cell, n)}")
-        for con in self.inequalities:
-            if con.lower != 0:
-                raise Pe0StructureError(f"{con.name()} has nonzero lower bound {con.lower}")
-
-    def strip(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix[:, :self.source_cols]
 
 
 def to_pe0(game: AraGame) -> Pe0Form:
@@ -115,7 +108,7 @@ def to_pe0(game: AraGame) -> Pe0Form:
                                     "only 0 or equality bounds are supported")
 
     if eqs:  # Pe0Form checks that they partition the matrix
-        return Pe0Form(game, tuple(eqs), tuple(ineqs), game, game.n)
+        return Pe0Form(game, tuple(eqs), game, game.n)
 
     # Row-budget form: every row needs one inequality over exactly its cells.
     row_budget: dict[int, AssignmentConstraint] = {}
@@ -139,7 +132,7 @@ def to_pe0(game: AraGame) -> Pe0Form:
                        for i in range(game.k))
     ext = AraGame(game.k, n_ext, equalities + tuple(others), game.targets,
                   game.adversary_types, validate_weights=False)
-    return Pe0Form(ext, equalities, tuple(others), game, game.n)
+    return Pe0Form(ext, equalities, game, game.n)
 
 
 def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -228,7 +221,7 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
             continue
         if np.any(done < fixed):
             raise GameError("equality fixer decreased a cell")
-        return pe0.strip(done), failures
+        return done[:, :pe0.source_cols], failures
     raise SamplingFailure(failures)
 
 

@@ -16,7 +16,8 @@ from ara.jsonio import (
     fams_to_json,
     game_from_json,
     game_to_json,
-    load_instance,
+    parse_instance,
+    read_json,
     tsg_from_json,
     tsg_to_json,
 )
@@ -87,7 +88,7 @@ class TestJsonRoundTrip:
     def test_family_detection(self, tmp_path, fig1b_fams):
         path = tmp_path / "ara.json"
         path.write_text(json.dumps(game_to_json(encode_fams(fig1b_fams))))
-        family, game = load_instance(str(path))
+        family, game = parse_instance(read_json(str(path)))
         assert family == "ara"
         assert game.k == 3
 
@@ -154,6 +155,37 @@ class TestSolveCommand:
 
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3
+
+    def test_cg_past_its_cutoff_is_a_solver_error(self, fams_file, capsys):
+        assert main(["solve", "--instance", str(fams_file), "--method", "cg",
+                     "--cutoff-s", "-1"]) == 3
+        assert "solve exceeded the -1.0s cutoff" in capsys.readouterr().err
+
+    def test_rand_on_raw_game_is_a_solver_error(self, tmp_path, capsys, fig1b_fams):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game_to_json(encode_fams(fig1b_fams))))
+        assert main(["solve", "--instance", str(path), "--method", "rand"]) == 3
+        assert "needs a domain fixer" in capsys.readouterr().err
+
+    def test_report_over_its_bound_is_a_solver_error(self, fams_file, tmp_path, capsys,
+                                                     monkeypatch):
+        def over(family, inst, method, seed, **kwargs):
+            return SolveReport(method, 1.0, 0.0, 1, seed, "x")
+
+        monkeypatch.setattr(cli, "run_method", over)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(fams_file), "--method", "exact",
+                     "--out", str(out)]) == 3
+        assert "report value 1.0 exceeds its upper bound 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_keys_are_pinned(self, tsg_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(tsg_file), "--method", "rand",
+                     "--samples", "20", "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {
+            "method", "value", "upper_bound", "wall_ms", "seed", "instance_digest",
+            "sample_failures", "detection_ratio", "c_measured"}
 
     @staticmethod
     def _wide_game_file(tmp_path):
@@ -301,7 +333,7 @@ class TestGenerateCommand:
         code = main(["generate", "--family", "fams", "--seed", "5", "--flights", "6",
                      "--schedules", "5", "--targets-per-schedule", "2", "--out", str(out)])
         assert code == 0
-        family, inst = load_instance(str(out))
+        family, inst = parse_instance(read_json(str(out)))
         assert family == "fams"
         assert len(inst.flights) == 6
 
@@ -311,7 +343,7 @@ class TestGenerateCommand:
                      "--risk-levels", "2", "--resource-types", "2", "--team-types", "2",
                      "--out", str(out)])
         assert code == 0
-        family, inst = load_instance(str(out))
+        family, inst = parse_instance(read_json(str(out)))
         assert family == "tsg"
 
 
@@ -322,6 +354,18 @@ class TestCheckImpl:
         code = main(["check-impl", "--instance", str(fams_file)])
         assert code == 0
         assert "bi-hierarchical" in capsys.readouterr().out
+
+    def test_bi_hierarchical_verdict_names_both_families(self, tmp_path, capsys):
+        # disjoint singleton schedules: marshal budgets and flights are laminar
+        inst = FamsInstance(2, tuple(Schedule(f"s{j}", frozenset({f"f{j}"})) for j in range(3)),
+                            tuple(FlightSpec(f"f{j}", -1.0, -5.0) for j in range(3)))
+        path = tmp_path / "fams.json"
+        path.write_text(json.dumps(fams_to_json(inst)))
+        assert main(["check-impl", "--instance", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "bi-hierarchical: true",
+            "  family 1: marshal 0, marshal 1",
+            "  family 2: flight f0, flight f1, flight f2"]
 
     def test_fig1c_verdict(self, tsg_file, capsys):
         code = main(["check-impl", "--instance", str(tsg_file)])
@@ -366,6 +410,22 @@ class TestBenchCommand:
                 r.pop("wall_ms")
             outs.append(rows)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("family, base, cutoff_s, status", [
+        ("fams", {"schedules": 3, "targets_per_schedule": 2, "resources": 2}, -1, "timeout"),
+        ("tsg", {"risk_levels": 1, "resource_types": 2, "team_types": 2}, 600,
+         "failed: column generation only applies to air-marshal instances"),
+    ], ids=["timeout", "failed"])
+    def test_unsolved_rows_carry_their_status(self, tmp_path, family, base, cutoff_s, status):
+        config = {"family": family, "sizes": [2], "repetitions": 1, "methods": ["cg"],
+                  "cutoff_s": cutoff_s, "base": base}
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+        row, agg = csv.DictReader(out.read_text().splitlines())
+        assert row["status"] == status and row["value"] == ""
+        assert agg["status"] == "aggregate" and agg["wall_ms"] == ""
 
     def test_each_instance_is_generated_once(self, tmp_path, monkeypatch):
         # 2 sizes x 3 repetitions, shared by both methods
@@ -422,8 +482,9 @@ class TestReport:
     def test_value_bound_enforced_at_write(self, tmp_path):
         report = SolveReport("rand", value=1.0, upper_bound=0.0, wall_ms=1,
                              seed=0, instance_digest="x")
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(GameError, match="exceeds"):
             report.write(str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
 
     def test_run_method_marginal_bound(self, fig1b_fams):
         report = run_method("fams", fig1b_fams, "marginal-bound", seed=0)

@@ -9,6 +9,7 @@ from ara.core import GameError, game_value
 from ara.exact import MaximinSolution, enumerate_pure, exact_maximin
 from ara.fams import (
     DbrNodeCapError,
+    DbrTables,
     FamsFixer,
     FamsInstance,
     FlightSpec,
@@ -281,12 +282,12 @@ class TestDbr:
             1,
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)))
-        best = fams_dbr(inst, [1.0, 2.0])
+        best = _dbr(inst, [1.0, 2.0])
         assert best.values[0, 1] == 1 and best.values[0, 0] == 0
 
     def test_fig1b_matches_enumeration(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
-        best = fams_dbr(fig1b_fams, np.ones(3))
+        best = _dbr(fig1b_fams, np.ones(3))
         assert violations(game, best) == []
         brute = max(enumerate_pure(game), key=lambda s: s.values.sum())
         assert best.values.sum() == brute.values.sum()
@@ -297,13 +298,13 @@ class TestDbr:
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
             frozenset({(0, "s1")}))
-        best = fams_dbr(inst, [1.0, 2.0])
+        best = _dbr(inst, [1.0, 2.0])
         assert best.values[0, 0] == 1 and best.values[0, 1] == 0
 
     def test_node_cap(self, fig1b_fams, monkeypatch):
         monkeypatch.setattr(fams, "NODE_CAP", 2)
         with pytest.raises(DbrNodeCapError, match="shrink"):
-            fams_dbr(fig1b_fams, np.ones(3))
+            _dbr(fig1b_fams, np.ones(3))
 
     def test_exploration_order_is_pinned(self):
         # weights from {1, 2, 3} tie often, so the packing returned shows the
@@ -315,7 +316,7 @@ class TestDbr:
             inst = with_random_forbidden(random_toy_fams(rng), rng)
             for _ in range(4):
                 w = rng.integers(1, 4, size=len(inst.schedules)).astype(float)
-                digest.update(fams_dbr(inst, w).values.tobytes())
+                digest.update(_dbr(inst, w).values.tobytes())
         assert digest.hexdigest() == (
             "1c72d4044198728e020129e9760bc0492607e0d4f2fd1cf71ba21c4a5f6e5ccf")
 
@@ -325,7 +326,7 @@ class TestDbr:
         inst = with_random_forbidden(random_toy_fams(rng), rng)
         game = encode_fams(inst)
         w = rng.uniform(0.1, 2.0, size=len(inst.schedules))
-        best = fams_dbr(inst, w)
+        best = _dbr(inst, w)
         assert violations(game, best) == []
         brute = max(float(s.values.sum(axis=0) @ w) for s in enumerate_pure(game))
         assert float(best.values.sum(axis=0) @ w) == pytest.approx(brute, abs=1e-9)
@@ -338,7 +339,7 @@ class TestDbr:
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
             frozenset({(2, "s0"), (1, "s1"), (2, "s1")}))
-        best = fams_dbr(inst, [2.0, 1.0])
+        best = _dbr(inst, [2.0, 1.0])
         assert best.values.tolist() == [[0, 1], [1, 0], [0, 0]]
 
     def test_backtracking_frees_the_matched_marshal(self):
@@ -350,7 +351,7 @@ class TestDbr:
              Schedule("s2", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
             frozenset({(1, "s0"), (1, "s1")}))
-        best = fams_dbr(inst, [3.0, 2.0, 2.0])
+        best = _dbr(inst, [3.0, 2.0, 2.0])
         assert best.values.tolist() == [[0, 1, 0], [0, 0, 1]]
 
     def test_schedule_forbidden_to_everyone_is_never_picked(self):
@@ -359,13 +360,13 @@ class TestDbr:
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)),
             frozenset({(0, "s0"), (1, "s0")}))
-        best = fams_dbr(inst, [5.0, 1.0])
+        best = _dbr(inst, [5.0, 1.0])
         assert best.values[:, 0].sum() == 0 and best.values[:, 1].sum() == 1
 
     @pytest.mark.parametrize("w", [np.ones((3, 3)), np.ones(2), [1.0, -1.0, 1.0]])
     def test_bad_weights_raise(self, fig1b_fams, w):
         with pytest.raises(GameError, match="weight"):
-            fams_dbr(fig1b_fams, w)
+            _dbr(fig1b_fams, w)
 
 
 class TestColumnGeneration:
@@ -519,6 +520,11 @@ class TestSeededColumnGeneration:
             got[rows[mine]] = coeff[mine]
             assert got.tobytes() == expected.tobytes()
         assert masters[-1].num_vars == len(cg.strategies) + 1
+
+
+def _dbr(inst, w):
+    """The best response with no bound from the summed flight masses."""
+    return fams_dbr(DbrTables(inst), w, np.inf)
 
 
 def _fams_cg_instance(seed):

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 top-level function or class is used somewhere in the package, every
 exported function is called from another module of the package, no
-module imports scipy, and the generic modules import no domain module.
+module imports scipy, the generic modules import no domain module, and no
+module raises a bare built-in exception.
 
 No linter runs on this repository, so this walks the syntax trees instead.
 ``__init__.py`` is left out of the import check: it imports names to
@@ -186,3 +187,32 @@ def test_checker_sees_domain_imports():
               "def f():\n    from ara import tsg\n    from .fams import FamsFixer\n"
               "from . import lp\nfrom ara.tsgx import y\n")
     assert domain_imports(source) == ["ara.fams", "ara.fams.FamsFixer", "ara.tsg"]
+
+
+BUILTIN_ERRORS = ("ValueError", "TypeError", "KeyError", "RuntimeError", "AssertionError")
+
+
+def builtin_raises(source: str) -> list[str]:
+    """The ``raise`` statements in ``source`` of a bare built-in exception,
+    called or not, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
+                found.append((node.lineno, exc.id))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_raises_named_errors(path):
+    # the CLI turns only the package's named errors into exit codes; a bare
+    # built-in one ends a command in a traceback
+    assert builtin_raises(path.read_text()) == []
+
+
+def test_checker_sees_builtin_raises():
+    source = ("def f(x):\n    if x:\n        raise ValueError('x')\n"
+              "    try:\n        g()\n    except KeyError:\n        raise\n"
+              "    raise TypeError\n\nraise GameError('named')\nraise lib.KeyError()\n")
+    assert builtin_raises(source) == ["ValueError (line 3)", "TypeError (line 8)"]
