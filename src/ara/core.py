@@ -487,7 +487,7 @@ class Violation:
         return f"{self.constraint}: sum {self.achieved} outside [{self.lower}, {self.upper}]"
 
 
-def constraint_violations(game: AraGame, matrix: np.ndarray, tol: float = 0.0) -> list[Violation]:
+def constraint_violations(game: AraGame, matrix: np.ndarray, tol: float) -> list[Violation]:
     """The constraints one strategy breaks by more than ``tol``; see
     ``CompiledGame.violations`` for several at once."""
     return game.compiled.violations([matrix], tol)[0]

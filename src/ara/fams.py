@@ -351,7 +351,7 @@ class CgResult:
     iterations: int
 
 
-def fams_column_generation(inst: FamsInstance, cutoff_s: float = np.inf) -> CgResult:
+def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
     """Exact zero-sum value by column generation.
 
     The restricted master is the maximin LP (``maximin_lp``) over generated

@@ -17,29 +17,43 @@ ch. 7-8): a basic column is a unit vector, which elimination leaves as it
 is.  ``LpState.nonbasic`` maps each stored column to its index in the full
 layout, and Dantzig's and Bland's rules break ties by the lowest full
 index, as they did over the full tableau.  Pricing is one matrix-vector
-product over the stored columns.  The ratio test divides over the eligible
-rows only.  The elimination costs (rows the entering column touches) x
-(stored columns): when fewer than half the rows are touched, only those
-rows are updated, and the whole tableau otherwise (``_SPARSE_SHARE``).  A
-row with a zero factor would be left as it is either way, so both give the
-same tableau, up to the sign of a zero, which reaches no output.  Then the
-leaving variable's unit column, pivoted as the full tableau pivots it
-(0.0 - factor * (1 / pivot), and 1 / pivot in the pivot row), takes the
-entering column's slot.  Pivots, values, duals and warm starts are bit for
-bit those of the full-tableau solver this one replaced.
+product over the stored columns while two or more basic columns have a
+nonzero cost, where the order of its sum matters.  With at most one, as
+through phase 2 of a maximin master or a single-type marginal LP, it reads
+that one row: every other term of the product is an exact zero, so
+``nb_costs - c_i * T[i]`` gives the same floats.  The loop counts the
+costed basic rows on each swap.  The ratio test divides over the eligible
+rows only.  In phase 2 it also looks for crossed artificial rows, but only
+while an artificial is basic: a per-row flag and a count, kept on each
+swap, say which rows hold one.  The elimination subtracts the outer product
+of the factors and the pivot row, built by ``np.einsum``: the same IEEE
+products as ``np.outer``, in about two thirds of its time at 201 x 202,
+but added into a zero, so +0.0 where ``np.outer`` gave -0.0.  Its cost is
+(rows the entering column touches) x (stored columns): when fewer than
+half the rows are touched, only those rows are updated, and the whole
+tableau otherwise (``_SPARSE_SHARE``).  A row with a zero factor would be
+left as it is either way, so both give the same tableau, up to the sign of
+a zero, which reaches no output.  Then the leaving variable's unit column,
+pivoted as the full tableau pivots it (0.0 - factor * (1 / pivot), and
+1 / pivot in the pivot row), takes the entering column's slot.  Pivots,
+values, duals and warm starts are bit for bit those of the full-tableau
+solver this one replaced.
 
 Warm start.  An optimal solve returns its final tableau as an ``LpState``
 on the solution.  ``LinearProgram.add_column`` appends a variable with
 lower bound 0, so it needs no shift, and ``solve_lp(prog, warm=state)``
 then appends B^-1 a for each new column and runs phase 2 only, from the
 old basis.  B^-1 is the slack/artificial columns of the full tableau,
-which started as the identity.  ``_full_tableau`` rebuilds that tableau,
-C-ordered, from the stored columns and the unit vectors of the basis; B^-1
-is gathered from it, which lays it out in Fortran order, and the dual
-read-out takes its matrix-vector product over it.  Both products then run
-the BLAS kernels they ran on the full tableau: over the stored columns
-alone the duals, and from a C-ordered B^-1 the new columns, came out up to
-1 ulp apart.  Appending a column leaves the basic solution as it was, so
+which started as the identity.  ``_b_inverse`` fills it in Fortran order,
+the layout a gather of those columns from the full tableau has: the stored
+columns and the unit vectors of the basic ones.  The dual read-out takes
+its matrix-vector product over the full tableau, which ``_full_tableau``
+rebuilds, C-ordered, from the stored columns and the unit vectors of the
+basis.  Both products then run the BLAS kernels they ran on the full
+tableau: over the stored columns alone the duals, and from a C-ordered
+B^-1 the new columns, came out up to 1 ulp apart.  Only the entries of
+the new columns are read, from the tail of ``LinearProgram.entries``.
+Appending a column leaves the basic solution as it was, so
 that basis is still primal feasible, and the artificials stay banned.
 Only columns may be appended: a new variable with a nonzero lower bound, a
 row added since the state was taken, or the state of another program
@@ -53,6 +67,7 @@ value, other values and duals.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -70,13 +85,12 @@ _STALL_PIVOTS = 40
 
 # A pivot eliminates only the rows the entering column touches when they are
 # fewer than this share of all rows, and the whole tableau otherwise.  The
-# row-sparse update gathers and scatters the rows it touches: on 163 x 400
-# and 201 x 600 tableaux (2-vCPU x86-64 KVM guest, one BLAS thread) it took
-# 0.1x the whole-tableau time at 3 % of the rows, 0.7x at 50 %, 1.15x at
-# 75 % and 5-6x at 95-100 %.  Rechecked at the widths of the stored columns,
-# 201 x 202 and 163 x 242: 0.2-0.3x at 3 %, 0.8-0.9x at 50 %, 0.9x at 60 %,
-# 1.05-1.2x at 75 % and 4-5x at 95-100 %, so the share stays.  Outputs do not
-# depend on it.
+# row-sparse update gathers and scatters the rows it touches.  Timed with the
+# einsum update at the widths of the stored columns, 201 x 202 and 163 x 242
+# (2-vCPU x86-64 KVM guest, one BLAS thread), it took 0.25x the
+# whole-tableau time at 3 % of the rows, 0.85x at 40 %, 0.95-1.05x at 50 %,
+# 1.1-1.15x at 60 %, 1.3-1.4x at 75 %, 1.6-1.75x at 95 % and 6x at 100 %, so
+# the share stays where the two break even.  Outputs do not depend on it.
 _SPARSE_SHARE = 0.5
 
 # sense of a row: +1 for <=, 0 for =, -1 for >=
@@ -308,11 +322,13 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
     if (lp.lower[nv:] != 0.0).any():
         raise LpError("a warm start takes only appended variables with lower bound 0")
     e_row, e_var, e_val = lp.entries
-    new = e_var >= nv
+    # no row was added, so the entries of the earlier variables all come
+    # before the appended columns': a binary search finds where they end
+    t = bisect.bisect_left(e_var, nv)
     q = lp.num_vars - nv
     a = np.zeros((nr, q))
-    a[e_row[new], e_var[new] - nv] = e_val[new]
-    cols = _full_tableau(s)[:, s.marker] @ (s.flip[:, None] * a)
+    a[e_row[t:], e_var[t:] - nv] = e_val[t:]
+    cols = _b_inverse(s) @ (s.flip[:, None] * a)
     added = nr + s.tableau.shape[1] + np.arange(q)
     return replace(
         s, tableau=np.hstack([s.tableau, cols]), nonbasic=np.concatenate([s.nonbasic, added]),
@@ -322,10 +338,27 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
         shift=np.concatenate([s.shift, np.zeros(q)]))
 
 
+def _b_inverse(s: LpState) -> np.ndarray:
+    """B^-1 of ``s``, the full tableau's columns at ``marker`` (see the
+    module docstring), Fortran-ordered: a stored column where the marker is
+    nonbasic and row i's unit vector where it is ``basis[i]``."""
+    nr, nb = s.tableau.shape
+    slot = np.full(nr + nb, -1)  # full column -> its row of the identity, or -1
+    slot[s.marker] = np.arange(nr)
+    b_inv = np.zeros((nr, nr), order="F")
+    stored = slot[s.nonbasic]
+    k = (stored >= 0).nonzero()[0]
+    b_inv[:, stored[k]] = s.tableau[:, k]
+    basic = slot[s.basis]
+    i = (basic >= 0).nonzero()[0]
+    b_inv[i, basic[i]] = 1.0
+    return b_inv
+
+
 def _full_tableau(s: LpState) -> np.ndarray:
     """The full tableau of ``s``, C-ordered: the stored columns at
     ``nonbasic`` and row i's unit vector at column ``basis[i]`` (see the
-    module docstring for why the products start from it)."""
+    module docstring for why the dual read-out starts from it)."""
     nr, nb = s.tableau.shape
     full = np.zeros((nr, nr + nb))
     full[:, s.nonbasic] = s.tableau
@@ -346,17 +379,27 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
     nr = len(b)
     if T.shape[1] == 0:  # no column can enter
         return "optimal", 0
-    art_rows = np.zeros(nr, dtype=bool)  # phase 1 has no banned columns
     # the costs of the basic and the nonbasic columns; a banned column
     # costs -inf, so that its reduced cost is -inf and it never enters
     priced = costs if banned is None else np.where(banned, -np.inf, costs)
     basic_costs = costs[basis]
     nb_costs = priced[nonbasic]
+    # how many basic columns have a nonzero cost, and the row of the one
+    costed = np.count_nonzero(basic_costs)
+    crow = int(basic_costs.nonzero()[0][0]) if costed == 1 else None
+    # the rows whose basic column is artificial (phase 1 bans none)
+    art = np.zeros(nr, dtype=bool) if banned is None else banned[basis]
+    n_art = int(np.count_nonzero(art))
     bland = False
     stall = 0
     last_obj = float(basic_costs @ b)
     for pivots in range(cap):
-        red = nb_costs - T.T @ basic_costs
+        if costed > 1:
+            red = nb_costs - T.T @ basic_costs
+        elif costed:  # every other term of the product is an exact zero
+            red = nb_costs - basic_costs[crow] * T[crow]
+        else:
+            red = nb_costs
         # the array methods skip the dispatch of their np.* functions,
         # which on the small column-generation masters is much of a pivot
         if bland:
@@ -374,20 +417,23 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
 
         col = T[:, enter]
         elig = col > FEAS_TOL
-        if banned is not None:
-            art_rows = banned[basis] & (np.abs(col) > FEAS_TOL)
+        if n_art:
+            art_rows = art & (np.abs(col) > FEAS_TOL)
             elig |= art_rows
         idx = elig.nonzero()[0]
         if idx.size == 0:
             return "unbounded", pivots
         ratios = b[idx] / col[idx]
-        ratios[art_rows[idx]] = 0.0
+        if n_art:
+            ratios[art_rows[idx]] = 0.0
         ties = idx[ratios <= ratios[ratios.argmin()] + 1e-12]
         if ties.size == 1:
             leave = int(ties[0])
-        else:
+        elif n_art:
             # prefer driving artificials out, then Bland's lowest basis index
             leave = int(ties[np.lexsort((basis[ties], ~art_rows[ties]))[0]])
+        else:
+            leave = int(ties[basis[ties].argmin()])
 
         piv = T[leave, enter]
         T[leave] /= piv
@@ -398,10 +444,10 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
         # entering column touches are eliminated (see _SPARSE_SHARE)
         rows = factors.nonzero()[0]
         if rows.size < _SPARSE_SHARE * nr:
-            T[rows] -= np.outer(factors[rows], T[leave])
+            T[rows] -= np.einsum("i,j->ij", factors[rows], T[leave])
             b[rows] -= factors[rows] * b[leave]
         else:
-            T -= np.outer(factors, T[leave])
+            T -= np.einsum("i,j->ij", factors, T[leave])
             b -= factors * b[leave]
         np.maximum(b, 0.0, out=b)
         # the leaving variable's unit column, pivoted as the whole tableau
@@ -412,7 +458,15 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
         col[leave] = inv
         left = basis[leave]
         basis[leave], nonbasic[enter] = nonbasic[enter], left
-        basic_costs[leave], nb_costs[enter] = nb_costs[enter], priced[left]
+        was, now = basic_costs[leave], nb_costs[enter]
+        basic_costs[leave], nb_costs[enter] = now, priced[left]
+        if (was != 0.0) != (now != 0.0):
+            costed += 1 if now != 0.0 else -1
+            if costed == 1:
+                crow = int(basic_costs.nonzero()[0][0])
+        if n_art and art[leave]:  # an artificial never enters
+            art[leave] = False
+            n_art -= 1
 
         cur = float(basic_costs @ b)
         if cur > last_obj + 1e-12:

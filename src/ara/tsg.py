@@ -135,8 +135,9 @@ class TsgFixer:
     Built once from the instance: ``usage[i, r]``, how often team i holds
     resource r; the capacities; every cell in repair order (descending
     passengers, category id, team id); and the refill order (ascending
-    passengers, category id).  A matrix x uses ``usage.T @ x.sum(axis=1)``
-    of the capacities.
+    passengers, category id), of which equality repair visits only the
+    short categories and skips the full ones.  A matrix x uses
+    ``usage.T @ x.sum(axis=1)`` of the capacities.
     """
 
     def __init__(self, inst: TsgInstance):
@@ -151,7 +152,8 @@ class TsgFixer:
                                for specs in (teams, cats))  # ids are distinct
         order = np.lexsort((team_rank[rows], cat_rank[cols], -self.passengers[cols]))
         self.cell_rows, self.cell_cols = rows[order], cols[order]
-        self.refill = sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id))
+        refill = sorted(range(len(cats)), key=lambda j: (cats[j].passengers, cats[j].id))
+        self.refill = np.array(refill, dtype=np.int64)
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         x = x.copy()
@@ -167,11 +169,14 @@ class TsgFixer:
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         x = x.copy()
-        unused = self.usage == 0
-        slack = self.capacity - self.usage.T @ x.sum(axis=1)
         # refilling category j changes column j only
         short = self.passengers - x.sum(axis=0)
-        for j in self.refill:
+        todo = self.refill[short[self.refill] > 0]
+        if not todo.size:
+            return x
+        unused = self.usage == 0
+        slack = self.capacity - self.usage.T @ x.sum(axis=1)
+        for j in todo.tolist():
             for need in range(int(short[j]), 0, -1):
                 fits = np.all(unused | (slack >= self.usage), axis=1)
                 if not fits.any():

@@ -44,7 +44,7 @@ def utility(game: AraGame, x, target_id: str) -> float:
 def violations(game: AraGame, p) -> list:
     """The constraints a pure strategy breaks; ``PureStrategy`` refuses
     fractional and negative cells with a ``GameError``."""
-    return constraint_violations(game, PureStrategy(getattr(p, "values", p)).values)
+    return constraint_violations(game, PureStrategy(getattr(p, "values", p)).values, tol=0.0)
 
 
 def constraint_sum(con: AssignmentConstraint, m) -> float:

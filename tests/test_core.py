@@ -207,7 +207,7 @@ class TestCompiledGame:
             m = rng.integers(0, 4, size=(game.k, game.n))
             expected = [(c.name(), constraint_sum(c, m)) for c in game.constraints
                         if not c.lower <= constraint_sum(c, m) <= c.upper]
-            got = [(v.constraint, v.achieved) for v in constraint_violations(game, m)]
+            got = [(v.constraint, v.achieved) for v in constraint_violations(game, m, tol=0.0)]
             assert got == expected
 
     @pytest.mark.parametrize("seed", range(10))
@@ -225,7 +225,8 @@ class TestCompiledGame:
             assert row.tolist() == [constraint_sum(c, m) for c in game.constraints]
         expected = [constraint_sum(c, mats[-1]) for c in game.constraints]
         assert np.allclose(sums[-1], expected, rtol=0, atol=1e-12)
-        assert game.compiled.violations(mats) == [constraint_violations(game, m) for m in mats]
+        assert game.compiled.violations(mats) == [constraint_violations(game, m, tol=0.0)
+                                                  for m in mats]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_coverage_and_value_match_loops(self, seed):
@@ -263,7 +264,7 @@ class TestCompiledGame:
     def test_wrong_shape_is_a_game_error(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
         with pytest.raises(GameError, match="shape"):
-            constraint_violations(game, np.zeros((3, 4)))
+            constraint_violations(game, np.zeros((3, 4)), tol=0.0)
         with pytest.raises(GameError, match="shape"):
             coverage(game, np.zeros((2, 3)), "c_r1_f1")
 

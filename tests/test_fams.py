@@ -15,7 +15,6 @@ from ara.fams import (
     FlightSpec,
     Schedule,
     encode_fams,
-    fams_column_generation,
     fams_dbr,
 )
 from ara.generators import GenConfig, gen_fams
@@ -520,6 +519,11 @@ class TestSeededColumnGeneration:
             got[rows[mine]] = coeff[mine]
             assert got.tobytes() == expected.tobytes()
         assert masters[-1].num_vars == len(cg.strategies) + 1
+
+
+def fams_column_generation(inst):
+    """Column generation with no time cutoff."""
+    return fams.fams_column_generation(inst, cutoff_s=np.inf)
 
 
 def _dbr(inst, w):

@@ -467,6 +467,7 @@ def _reference_pivot_loop(T, b, basis, costs, banned, cap, events):
         factors = T[:, enter].copy()
         factors[leave] = 0.0
         events["phase 1" if banned is None else "phase 2"] += 1
+        events["one costed row"] += banned is not None and np.count_nonzero(costs[basis]) == 1
         events["artificial row crossed"] += bool(art_rows.any())
         events["tied ratios"] += ties.size > 1
         sparse = np.count_nonzero(factors) < lp_mod._SPARSE_SHARE * nr
@@ -605,6 +606,24 @@ def _integer_program(rng):
     return lp, [range(m)]
 
 
+def _maximin_program(rng):
+    """Shaped like the maximin master of column generation: max p z over
+    mix weights w and z, with z <= u_t.w for each target t, sum w = 1 and
+    z >= min u.  Only z has a cost, so while no costed column has entered,
+    phase 2 prices from the one row where z is basic.  Integer utilities
+    make ratios and reduced costs tie.  Returns the program and the rows an
+    appended column may touch."""
+    m, targets = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    util = -rng.integers(1, 6, size=(m, targets)).astype(float)
+    lp = LinearProgram(m + 1)
+    lp.objective[m] = rng.uniform(0.2, 1.0)
+    lp.lower[m] = util.min()
+    for t in range(targets):
+        lp.add_row({m: 1.0, **{s: -util[s, t] for s in range(m)}}, "<=", 0.0)
+    lp.add_row(dict.fromkeys(range(m), 1.0), "=", 1.0)
+    return lp, [range(targets + 1)]
+
+
 def _reference_program(kind, rng):
     if kind == "block-sparse":
         return _block_program(rng, int(rng.integers(3, 6)), int(rng.integers(2, 5)),
@@ -614,6 +633,8 @@ def _reference_program(kind, rng):
         return _random_program(rng, n, m), [range(m)]
     if kind == "integer":
         return _integer_program(rng)
+    if kind == "maximin":
+        return _maximin_program(rng)
     return _cycling_program(rng, int(rng.integers(0, 4)))
 
 
@@ -643,7 +664,8 @@ def _assert_same_solve(lp, events, warm=None, ref_warm=None):
 
 def _check_against_reference(kind, seed, added, events):
     """Cold solves, then warm solves after ``added`` appended columns, each
-    within one block's rows, must match the reference loop."""
+    within one block's rows, must match the reference loop.  ``events``
+    counts the warm solve's events twice: as they are and as "warm ..."."""
     rng = np.random.default_rng(seed)
     lp, free_rows = _reference_program(kind, rng)
     new, ref = _assert_same_solve(lp, events)
@@ -653,10 +675,13 @@ def _check_against_reference(kind, seed, added, events):
         rows = free_rows[int(rng.integers(len(free_rows)))]
         lp.add_column({i: float(rng.uniform(-1, 1)) for i in rows if rng.random() < 0.8},
                       float(rng.uniform(-1, 2)))
-    _assert_same_solve(lp, events, warm=new.state, ref_warm=ref.state)
+    warm = Counter()
+    _assert_same_solve(lp, warm, warm=new.state, ref_warm=ref.state)
+    events.update(warm)
+    events.update({f"warm {event}": n for event, n in warm.items()})
 
 
-REFERENCE_KINDS = ("block-sparse", "dense", "integer", "degenerate")
+REFERENCE_KINDS = ("block-sparse", "dense", "integer", "maximin", "degenerate")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -681,5 +706,6 @@ def test_reference_programs_reach_every_pivot_path():
         for seed in range(10):
             _check_against_reference(kind, seed, 2, events)
     for event in ("phase 1", "phase 2", "artificial row crossed", "tied ratios",
-                  "row-sparse", "whole tableau", "Bland"):
+                  "row-sparse", "whole tableau", "Bland", "one costed row",
+                  "warm one costed row"):
         assert events[event] > 0, event

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -235,15 +237,22 @@ class TestFixersMatchReference:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_multiset_instances(self, seed):
         rng = np.random.default_rng(900 + seed)
+        # equality-repair inputs by how many categories are short (2 for
+        # several), and the refills that failed
+        seen = Counter()
         for _ in range(25):
             inst = _random_multiset_tsg(rng)
             fixer, pe0 = TsgFixer(inst), to_pe0(encode_tsg(inst))
             x = rng.integers(0, 4, size=(len(inst.teams), len(inst.categories)))
             fixed = fixer.fix_inequalities(x, pe0, rng)
             assert fixed.tolist() == _reference_fix_inequalities(inst, x).tolist()
+            passengers = np.array([c.passengers for c in inst.categories])
             for y in (x, fixed):
-                assert (_outcome(fixer.fix_equalities, y, pe0, rng)
-                        == _outcome(_reference_fix_equalities, inst, y))
+                got = _outcome(fixer.fix_equalities, y, pe0, rng)
+                assert got == _outcome(_reference_fix_equalities, inst, y)
+                seen[min(int(np.count_nonzero(y.sum(axis=0) < passengers)), 2)] += 1
+                seen["failed"] += isinstance(got, str)
+        assert all(seen[key] for key in (0, 1, 2, "failed")), seen
 
 
 class TestDetectionRatio:
