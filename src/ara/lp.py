@@ -23,14 +23,14 @@ through phase 2 of a maximin master or a single-type marginal LP, it reads
 that one row: every other term of the product is an exact zero, so
 ``nb_costs - c_i * T[i]`` gives the same floats.  The loop counts the
 costed basic rows on each swap.  The ratio test divides over the eligible
-rows only.  In phase 2 it also looks for crossed artificial rows, but only
-while an artificial is basic: a per-row flag and a count, kept on each
-swap, say which rows hold one.  The elimination subtracts the outer product
-of the factors and the pivot row, built by ``np.einsum``: the same IEEE
-products as ``np.outer``, in about two thirds of its time at 201 x 202,
-but added into a zero, so +0.0 where ``np.outer`` gave -0.0.  Its cost is
-(rows the entering column touches) x (stored columns): when fewer than
-half the rows are touched, only those rows are updated, and the whole
+rows only; in phase 2 a basic artificial that the entering column crosses
+leaves at ratio zero.  A per-row flag, cleared when the row's artificial
+leaves, says which rows hold one.  The elimination subtracts the outer
+product of the factors and the pivot row, built by ``np.einsum``: the same
+IEEE products as ``np.outer``, in about two thirds of its time at 201 x
+202, but added into a zero, so +0.0 where ``np.outer`` gave -0.0.  Its
+cost is (rows the entering column touches) x (stored columns): when fewer
+than half the rows are touched, only those rows are updated, and the whole
 tableau otherwise (``_SPARSE_SHARE``).  A row with a zero factor would be
 left as it is either way, so both give the same tableau, up to the sign of
 a zero, which reaches no output.  Then the leaving variable's unit column,
@@ -44,16 +44,13 @@ on the solution.  ``LinearProgram.add_column`` appends a variable with
 lower bound 0, so it needs no shift, and ``solve_lp(prog, warm=state)``
 then appends B^-1 a for each new column and runs phase 2 only, from the
 old basis.  B^-1 is the slack/artificial columns of the full tableau,
-which started as the identity.  ``_b_inverse`` fills it in Fortran order,
-the layout a gather of those columns from the full tableau has: the stored
-columns and the unit vectors of the basic ones.  The dual read-out takes
-its matrix-vector product over the full tableau, which ``_full_tableau``
-rebuilds, C-ordered, from the stored columns and the unit vectors of the
-basis.  Both products then run the BLAS kernels they ran on the full
-tableau: over the stored columns alone the duals, and from a C-ordered
-B^-1 the new columns, came out up to 1 ulp apart.  Only the entries of
-the new columns are read, from the tail of ``LinearProgram.entries``.
-Appending a column leaves the basic solution as it was, so
+which started as the identity.  ``_full_tableau`` rebuilds that tableau,
+C-ordered, from the stored columns and the unit vectors of the basis; B^-1
+is gathered from it, which lays it out in Fortran order, and the dual
+read-out takes its matrix-vector product over it.  Both products then run
+the BLAS kernels they ran on the full tableau: over the stored columns
+alone the duals, and from a C-ordered B^-1 the new columns, came out up to
+1 ulp apart.  Appending a column leaves the basic solution as it was, so
 that basis is still primal feasible, and the artificials stay banned.
 Only columns may be appended: a new variable with a nonzero lower bound, a
 row added since the state was taken, or the state of another program
@@ -67,7 +64,6 @@ value, other values and duals.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -322,13 +318,11 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
     if (lp.lower[nv:] != 0.0).any():
         raise LpError("a warm start takes only appended variables with lower bound 0")
     e_row, e_var, e_val = lp.entries
-    # no row was added, so the entries of the earlier variables all come
-    # before the appended columns': a binary search finds where they end
-    t = bisect.bisect_left(e_var, nv)
+    new = e_var >= nv
     q = lp.num_vars - nv
     a = np.zeros((nr, q))
-    a[e_row[t:], e_var[t:] - nv] = e_val[t:]
-    cols = _b_inverse(s) @ (s.flip[:, None] * a)
+    a[e_row[new], e_var[new] - nv] = e_val[new]
+    cols = _full_tableau(s)[:, s.marker] @ (s.flip[:, None] * a)
     added = nr + s.tableau.shape[1] + np.arange(q)
     return replace(
         s, tableau=np.hstack([s.tableau, cols]), nonbasic=np.concatenate([s.nonbasic, added]),
@@ -338,27 +332,10 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
         shift=np.concatenate([s.shift, np.zeros(q)]))
 
 
-def _b_inverse(s: LpState) -> np.ndarray:
-    """B^-1 of ``s``, the full tableau's columns at ``marker`` (see the
-    module docstring), Fortran-ordered: a stored column where the marker is
-    nonbasic and row i's unit vector where it is ``basis[i]``."""
-    nr, nb = s.tableau.shape
-    slot = np.full(nr + nb, -1)  # full column -> its row of the identity, or -1
-    slot[s.marker] = np.arange(nr)
-    b_inv = np.zeros((nr, nr), order="F")
-    stored = slot[s.nonbasic]
-    k = (stored >= 0).nonzero()[0]
-    b_inv[:, stored[k]] = s.tableau[:, k]
-    basic = slot[s.basis]
-    i = (basic >= 0).nonzero()[0]
-    b_inv[i, basic[i]] = 1.0
-    return b_inv
-
-
 def _full_tableau(s: LpState) -> np.ndarray:
     """The full tableau of ``s``, C-ordered: the stored columns at
     ``nonbasic`` and row i's unit vector at column ``basis[i]`` (see the
-    module docstring for why the dual read-out starts from it)."""
+    module docstring for why the products start from it)."""
     nr, nb = s.tableau.shape
     full = np.zeros((nr, nr + nb))
     full[:, s.nonbasic] = s.tableau
@@ -389,7 +366,6 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
     crow = int(basic_costs.nonzero()[0][0]) if costed == 1 else None
     # the rows whose basic column is artificial (phase 1 bans none)
     art = np.zeros(nr, dtype=bool) if banned is None else banned[basis]
-    n_art = int(np.count_nonzero(art))
     bland = False
     stall = 0
     last_obj = float(basic_costs @ b)
@@ -416,24 +392,19 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
                 enter = int(ties[nonbasic[ties].argmin()])
 
         col = T[:, enter]
-        elig = col > FEAS_TOL
-        if n_art:
-            art_rows = art & (np.abs(col) > FEAS_TOL)
-            elig |= art_rows
+        art_rows = art & (np.abs(col) > FEAS_TOL)
+        elig = (col > FEAS_TOL) | art_rows
         idx = elig.nonzero()[0]
         if idx.size == 0:
             return "unbounded", pivots
         ratios = b[idx] / col[idx]
-        if n_art:
-            ratios[art_rows[idx]] = 0.0
+        ratios[art_rows[idx]] = 0.0
         ties = idx[ratios <= ratios[ratios.argmin()] + 1e-12]
         if ties.size == 1:
             leave = int(ties[0])
-        elif n_art:
+        else:
             # prefer driving artificials out, then Bland's lowest basis index
             leave = int(ties[np.lexsort((basis[ties], ~art_rows[ties]))[0]])
-        else:
-            leave = int(ties[basis[ties].argmin()])
 
         piv = T[leave, enter]
         T[leave] /= piv
@@ -464,9 +435,7 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
             costed += 1 if now != 0.0 else -1
             if costed == 1:
                 crow = int(basic_costs.nonzero()[0][0])
-        if n_art and art[leave]:  # an artificial never enters
-            art[leave] = False
-            n_art -= 1
+        art[leave] = False  # an artificial never enters
 
         cur = float(basic_costs @ b)
         if cur > last_obj + 1e-12:

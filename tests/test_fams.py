@@ -375,7 +375,7 @@ class TestColumnGeneration:
 
     def test_fig1b_matches_exact(self, fig1b_fams):
         game = encode_fams(fig1b_fams)
-        cg = fams_column_generation(fig1b_fams)
+        cg = _cg(fig1b_fams)
         exact = exact_maximin(game, enumerate_pure(game))
         assert cg.value == pytest.approx(exact.value, abs=1e-6)
 
@@ -385,7 +385,7 @@ class TestColumnGeneration:
             1,
             tuple(Schedule(f"s{j}", frozenset({f"f{j}"})) for j in range(n)),
             tuple(FlightSpec(f"f{j}", -1.0, -5.0) for j in range(n)))
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         expected = (1 / n) * -1.0 + (1 - 1 / n) * -5.0
         assert cg.value == pytest.approx(expected, abs=1e-6)
 
@@ -395,7 +395,7 @@ class TestColumnGeneration:
             2,
             tuple(Schedule(f"s{j}", frozenset({f"f{j}"})) for j in range(3)),
             tuple(FlightSpec(f"f{j}", -1.0, -float(3 + 2 * j)) for j in range(3)))
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         ms = solve_marginal(encode_fams(inst))
         assert cg.value == pytest.approx(ms.upper_bound, abs=1e-6)
 
@@ -405,7 +405,7 @@ class TestColumnGeneration:
         rng = np.random.default_rng(500 + seed)
         inst = random_toy_fams(rng)
         game = encode_fams(inst)
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         exact = exact_maximin(game, enumerate_pure(game))
         ms = solve_marginal(game)
         assert cg.value == pytest.approx(exact.value, abs=1e-5)
@@ -418,7 +418,7 @@ class TestColumnGeneration:
         inst = with_random_forbidden(random_toy_fams(rng), rng)
         assert inst.forbidden
         game = encode_fams(inst)
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         exact = exact_maximin(game, enumerate_pure(game))
         ms = solve_marginal(game)
         assert cg.value == pytest.approx(exact.value, abs=1e-5)
@@ -427,7 +427,7 @@ class TestColumnGeneration:
     @pytest.mark.parametrize("seed", range(6))
     def test_master_is_the_exact_maximin_lp(self, seed):
         inst = random_toy_fams(np.random.default_rng(500 + seed))
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         exact = exact_maximin(encode_fams(inst), cg.strategies)
         assert exact.value == cg.value
         assert np.array_equal(exact.weights, cg.weights)
@@ -441,10 +441,10 @@ class TestColumnGeneration:
 
         monkeypatch.setattr(fams, "exact_maximin", shifted)
         with pytest.raises(GameError, match="disagrees with the cold solve"):
-            fams_column_generation(fig1b_fams)
+            _cg(fig1b_fams)
 
     def test_mixed_strategy_is_consistent(self, fig1b_fams):
-        cg = fams_column_generation(fig1b_fams)
+        cg = _cg(fig1b_fams)
         game = encode_fams(fig1b_fams)
         mean = sum(w * s.values for w, s in zip(cg.weights, cg.strategies))
         assert game_value(game, mean) == pytest.approx(cg.value, abs=1e-6)
@@ -480,7 +480,7 @@ class TestSeededColumnGeneration:
 
     @staticmethod
     def _check(inst, value, iterations, digest):
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         stacked = np.stack([s.values for s in cg.strategies]).astype(np.int64)
         assert cg.value == value
         assert cg.iterations == iterations
@@ -502,7 +502,7 @@ class TestSeededColumnGeneration:
             return solve_lp(prog, **kwargs)
 
         monkeypatch.setattr(fams, "solve_lp", kept)
-        cg = fams_column_generation(inst)
+        cg = _cg(inst)
         compiled = encode_fams(inst).compiled
         u_undef = compiled.payoff_undefended
         util = u_undef + compiled.coverages(np.stack([s.values for s in cg.strategies])) * (
@@ -521,7 +521,7 @@ class TestSeededColumnGeneration:
         assert masters[-1].num_vars == len(cg.strategies) + 1
 
 
-def fams_column_generation(inst):
+def _cg(inst):
     """Column generation with no time cutoff."""
     return fams.fams_column_generation(inst, cutoff_s=np.inf)
 
