@@ -82,11 +82,13 @@ class AssignmentConstraint:
         object.__setattr__(self, "coeffs", coeffs)
         if not len(cells):
             raise GameError(f"constraint {self.label!r} has no cells")
-        # a comparison with inf is exact, so integers of any size pass
+        # exact for integers of any size; the compiled game holds bounds as int64
         if not all(abs(v) < math.inf for v in (self.lower, self.upper)):
             raise GameError(f"constraint {self.label!r} has non-finite bounds")
         if not (0 <= self.lower <= self.upper):
             raise GameError(f"constraint {self.label!r} has bad bounds [{self.lower}, {self.upper}]")
+        if self.upper >= 2 ** 63:
+            raise GameError(f"constraint {self.label!r} bound {self.upper} is past the int64 range")
         if int(self.lower) != self.lower or int(self.upper) != self.upper:
             raise GameError(f"constraint {self.label!r} bounds must be integers")
 
@@ -283,6 +285,20 @@ class CompiledGame:
         lo, hi = self.con_cell[[last - size + 1, last]] // self.shape[1]
         return np.where(lo == hi, lo, -1)
 
+    @cached_property
+    def row_budget(self) -> np.ndarray:
+        """Per row, the first constraint over exactly that row's n cells with
+        unit coefficients (its budget), or -1."""
+        k, n = self.shape
+        size = np.bincount(self.con_seg, minlength=len(self.names))
+        full = np.flatnonzero((self.single_row >= 0) & (size == n))
+        entries = (np.cumsum(size)[full] - n)[:, None] + np.arange(n)  # each one's n entries
+        full = full[(self.con_coeff[entries] == 1).all(axis=1)]
+        rows, first = np.unique(self.single_row[full], return_index=True)
+        out = np.full(k, -1)
+        out[rows] = full[first]
+        return out
+
     def constraint_sums(self, matrices) -> np.ndarray:
         """Every constraint's sum in each matrix, shape (len(matrices), C),
         added over each matrix's nonzero cells only."""
@@ -397,7 +413,7 @@ def row_dicts(variables: np.ndarray, values: np.ndarray, seg: np.ndarray,
 @dataclass(frozen=True)
 class MarginalStrategy:
     """Real-valued allocation; feasibility is relative to a game and checked
-    with constraint_violations."""
+    with ``CompiledGame.violations``."""
 
     values: np.ndarray
 
@@ -414,8 +430,8 @@ class MarginalStrategy:
 
 @dataclass(frozen=True)
 class PureStrategy:
-    """Integral, nonnegative allocation; ``constraint_violations`` checks it
-    against a game's constraints."""
+    """Integral, nonnegative allocation; ``CompiledGame.violations`` checks
+    it against a game's constraints."""
 
     values: np.ndarray
 
@@ -485,12 +501,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.constraint}: sum {self.achieved} outside [{self.lower}, {self.upper}]"
-
-
-def constraint_violations(game: AraGame, matrix: np.ndarray, tol: float) -> list[Violation]:
-    """The constraints one strategy breaks by more than ``tol``; see
-    ``CompiledGame.violations`` for several at once."""
-    return game.compiled.violations([matrix], tol)[0]
 
 
 @dataclass(frozen=True)

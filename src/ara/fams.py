@@ -9,20 +9,21 @@ flight-disjoint schedules under one weight per schedule; a schedule's
 flights are one int bitmask.  Forbidden pairs enter only through a
 bipartite matching of the restricted schedules to their allowed marshals,
 grown by one augmenting path per restricted pick, so an instance without
-forbidden pairs does no matching work at all.  The tables the search reads
-of an instance (``DbrTables``) are built once per column-generation solve.
+forbidden pairs does no matching work at all.  All four parts read what
+they need of an instance from one ``FamsTables``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from numbers import Integral
 
 import numpy as np
 
-from ara.core import AraGame, AssignmentConstraint, GameError, PureStrategy, Target
-from ara.exact import exact_maximin, maximin_lp
+from ara.core import MAX_CELLS, AraGame, AssignmentConstraint, GameError, PureStrategy, Target
+from ara.exact import MaximinSolution, exact_maximin, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
 
@@ -39,9 +40,7 @@ class DbrNodeCapError(GameError):
 
 
 class SolveTimeout(Exception):
-    def __init__(self, cutoff_s: float):
-        self.cutoff_s = cutoff_s
-        super().__init__(f"solve exceeded the {cutoff_s}s cutoff")
+    """A solve passed its time cutoff."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,13 @@ class FamsInstance:
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "flights", tuple(self.flights))
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        if isinstance(self.num_marshals, bool) or not isinstance(self.num_marshals, Integral):
+            raise GameError(f"marshal count {self.num_marshals!r} is not an integer")
         if self.num_marshals < 1:
             raise GameError("need at least one marshal")
+        if self.num_marshals * len(self.schedules) > MAX_CELLS:
+            raise GameError(f"{self.num_marshals} marshals x {len(self.schedules)} schedules "
+                            f"exceed the {MAX_CELLS} cell cap")
         sched_ids = [s.id for s in self.schedules]
         if len(set(sched_ids)) != len(sched_ids):
             raise GameError("duplicate schedule ids")
@@ -99,17 +103,16 @@ def encode_fams(inst: FamsInstance) -> AraGame:
     budget, forbidden pairs pin cells to zero, and each flight becomes a
     unit-weight target over every cell of every schedule containing it,
     with a matching at-most-one allocation constraint."""
-    k, n = inst.num_marshals, len(inst.schedules)
-    col = {s.id: j for j, s in enumerate(inst.schedules)}
+    tables = FamsTables(inst)
+    k, n = tables.k, tables.n
     grid = np.indices((k, n)).transpose(1, 2, 0)  # grid[i, j] is the pair (i, j)
     constraints = [AssignmentConstraint(grid[i], 0, 1, label=f"marshal {i}") for i in range(k)]
     for m, sid in sorted(inst.forbidden):
-        constraints.append(AssignmentConstraint([[m, col[sid]]], 0, 0,
+        constraints.append(AssignmentConstraint([[m, tables.col[sid]]], 0, 0,
                                                 label=f"forbidden ({m}, {sid})"))
-    flight_of, col_of = _flight_major(_schedule_flights(inst))
-    ends = np.cumsum(np.bincount(flight_of, minlength=len(inst.flights)))
+    ends = np.cumsum(np.bincount(tables.flight_of, minlength=len(inst.flights)))
     targets = []
-    for f, cols in zip(inst.flights, np.split(col_of, ends[:-1])):
+    for f, cols in zip(inst.flights, np.split(tables.col_of, ends[:-1])):
         cells = grid[:, cols].reshape(-1, 2)  # row-major, as ``cols`` ascend
         if len(cells):
             constraints.append(AssignmentConstraint(cells, 0, 1, label=f"flight {f.id}"))
@@ -142,17 +145,15 @@ class FamsFixer:
     ``rng.integers`` over that flight's allocated schedules in column order;
     the marshal taken off is the lowest row.
 
-    Built once from the instance: each schedule's flights in flight order
-    (``flights_of``) and each flight's rank in id order (``rank``).  The
-    fixer keeps no state between calls."""
+    Reads the instance's ``FamsTables``, built once: each schedule's
+    flights in flight order (``flights_of``) and each flight's rank in id
+    order (``rank``).  The fixer keeps no state between calls."""
 
     def __init__(self, inst: FamsInstance):
-        self.flights_of = _schedule_flights(inst)
-        by_id = {fid: pos for pos, fid in enumerate(sorted(f.id for f in inst.flights))}
-        self.rank = tuple(by_id[f.id] for f in inst.flights)
+        self.tables = FamsTables(inst)
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        flights_of, rank = self.flights_of, self.rank
+        flights_of, rank = self.tables.flights_of, self.tables.rank
         x = x.copy()
         n = pe0.source_cols
         rows, cols = np.divmod(np.flatnonzero(x[:, :n] != 0), n)
@@ -210,42 +211,39 @@ class FamsFixer:
         return x
 
 
-def _schedule_flights(inst: FamsInstance) -> tuple[tuple[int, ...], ...]:
-    """Per schedule, the positions of its flights in ``inst.flights``, ascending."""
-    index = {f.id: t for t, f in enumerate(inst.flights)}
-    return tuple(tuple(sorted(index[f] for f in s.flights)) for s in inst.schedules)
-
-
-def _flight_major(flights_of) -> tuple[np.ndarray, np.ndarray]:
-    """The (flight, schedule) pairs of per-schedule flight lists as two
-    arrays, flight-major with schedules ascending: the order in which
-    ``np.nonzero`` lists a flight x schedule incidence."""
-    pairs = sorted((f, j) for j, flights in enumerate(flights_of) for f in flights)
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-
-
-class DbrTables:
-    """What ``fams_dbr`` and column generation read of an instance: its
-    sizes ``k`` and ``n``, each schedule's flights as one int bitmask (bit t
-    for ``inst.flights[t]``), each schedule's allowed marshals (None for an
-    unrestricted one), and the (flight, schedule) pairs of ``_flight_major``
-    as ``flight_of`` and ``col_of``.  They depend on the instance only, so
-    column generation builds them once per solve."""
+class FamsTables:
+    """What the module reads of an instance, derived once: the sizes ``k``
+    and ``n``, each schedule's column by id (``col``), its flights as
+    ascending positions in ``inst.flights`` (``flights_of``) and as one int
+    bitmask, bit t for ``inst.flights[t]`` (``masks``), its allowed
+    marshals, None for an unrestricted one (``allowed``), each flight's
+    rank in id order (``rank``), and the (flight, schedule) pairs in the
+    order ``np.nonzero`` lists a flight x schedule incidence (``flight_of``,
+    ``col_of``)."""
 
     def __init__(self, inst: FamsInstance):
         self.k, self.n = inst.num_marshals, len(inst.schedules)
-        flights_of = _schedule_flights(inst)
-        self.masks = tuple(sum(1 << f for f in flights) for flights in flights_of)
-        self.flight_of, self.col_of = _flight_major(flights_of)
-        col = {s.id: j for j, s in enumerate(inst.schedules)}
+        self.col = {s.id: j for j, s in enumerate(inst.schedules)}
+        index = {f.id: t for t, f in enumerate(inst.flights)}
+        self.flights_of = tuple(tuple(sorted(index[f] for f in s.flights))
+                                for s in inst.schedules)
+        self.masks = tuple(sum(1 << f for f in flights) for flights in self.flights_of)
         banned = [set() for _ in inst.schedules]
         for m, sid in inst.forbidden:
-            banned[col[sid]].add(m)
+            banned[self.col[sid]].add(m)
         self.allowed = tuple(tuple(m for m in range(self.k) if m not in b) if b else None
                              for b in banned)
+        by_id = {fid: pos for pos, fid in enumerate(sorted(index))}
+        self.rank = tuple(by_id[f.id] for f in inst.flights)
+        # the pairs come schedule by schedule, so a stable sort by flight
+        # leaves the schedules of each flight ascending
+        flight = np.fromiter(chain.from_iterable(self.flights_of), np.int64)
+        order = np.argsort(flight, kind="stable")
+        self.flight_of = flight[order]
+        self.col_of = np.repeat(np.arange(self.n), list(map(len, self.flights_of)))[order]
 
 
-def fams_dbr(tables: DbrTables, w: np.ndarray, total_mass: float) -> PureStrategy:
+def fams_dbr(tables: FamsTables, w: np.ndarray, total_mass: float) -> PureStrategy:
     """Exact defender best response: the pure strategy of largest summed
     weight ``w[j]`` over its allocated schedules j.
 
@@ -343,12 +341,9 @@ def fams_dbr(tables: DbrTables, w: np.ndarray, total_mass: float) -> PureStrateg
     return PureStrategy(matrix)
 
 
-@dataclass
-class CgResult:
-    value: float
-    weights: np.ndarray
-    strategies: tuple[PureStrategy, ...]
-    iterations: int
+@dataclass(frozen=True)
+class CgResult(MaximinSolution):
+    iterations: int  # master solves
 
 
 def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
@@ -376,7 +371,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
     compiled = game.compiled  # targets are the flights, in flight order
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
-    tables = DbrTables(inst)
+    tables = FamsTables(inst)
     flight_of, col_of = tables.flight_of, tables.col_of
     mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
@@ -389,7 +384,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
 
     for it in range(1, CG_MAX_ITERS + 1):
         if time.monotonic() - start > cutoff_s:
-            raise SolveTimeout(cutoff_s)
+            raise SolveTimeout(f"solve exceeded the {cutoff_s}s cutoff")
         sol = solve_lp(master, warm=state)
         if sol.status != "optimal":
             raise GameError(f"column-generation master ended {sol.status}")
@@ -414,7 +409,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
             if abs(final.value - sol.objective_value) > 1e-9:
                 raise GameError(f"column-generation master value {sol.objective_value} "
                                 f"disagrees with the cold solve {final.value}")
-            return CgResult(final.value, final.weights, tuple(columns), it)
+            return CgResult(final.value, final.weights, final.strategies, it)
         columns.append(column)
         seen.add(cov.tobytes())
         coeffs = {t: -u for t, u in enumerate(util.tolist()) if u != 0.0}

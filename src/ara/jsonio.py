@@ -117,6 +117,8 @@ def tsg_from_json(data: dict) -> TsgInstance:
 
 
 def detect_family(data: dict) -> str:
+    if not isinstance(data, dict):
+        raise ParseError("instance", f"expected a JSON object, not {type(data).__name__}")
     if "schedules" in data:
         return "fams"
     if "categories" in data:

@@ -45,7 +45,6 @@ from ara.core import (
     MARGINAL_TOL,
     MarginalStrategy,
     add_constraint_rows,
-    constraint_violations,
     game_value,
     row_dicts,
 )
@@ -89,7 +88,7 @@ def solve_marginal(game: AraGame) -> MarginalSolution:
 
     values = np.maximum(sol.values[:nx], 0.0)
     x = values.reshape(k, n) if summed is None else _staircase(values, k, summed[0].upper // k)
-    bad = constraint_violations(game, x, tol=MARGINAL_TOL)
+    bad = game.compiled.violations([x], MARGINAL_TOL)[0]
     if bad:
         raise GameError("marginal solution violates constraints: " + "; ".join(map(str, bad)))
     x_m = MarginalStrategy(x)
@@ -137,25 +136,21 @@ def _over_columns(game: AraGame):
     interchangeable, else None."""
     k, n = game.k, game.n
     c = game.compiled
-    ncons = len(game.constraints)
-    size = np.bincount(c.con_seg, minlength=ncons)
-    row = c.single_row
-    single = row >= 0
-    # exactly one single-row constraint (the budget) in every row; every
-    # other constraint, and every target, the same in all k rows
-    if not np.all(np.bincount(row[single], minlength=k) == 1):
+    single = c.single_row >= 0
+    budget = c.row_budget
+    # a budget in every row and no other single-row constraint; every other
+    # constraint, and every target, the same in all k rows
+    if np.any(budget < 0) or np.count_nonzero(single) != k:
         return None
-    if not _same_in_every_row(k, n, c.con_cell, c.con_coeff, c.con_seg, ncons)[~single].all():
+    if not _same_in_every_row(k, n, c.con_cell, c.con_coeff, c.con_seg,
+                              len(game.constraints))[~single].all():
         return None
     if not _same_in_every_row(k, n, c.tgt_cell, c.tgt_weight, c.tgt_seg, len(game.targets)).all():
         return None
-    budget = np.flatnonzero(single)[np.argsort(row[single])]  # in row order
     first, last = game.constraints[budget[0]], game.constraints[budget[-1]]
     if first.lower != 0 and not first.is_equality:
         return None
-    not_unit = np.bincount(c.con_seg, weights=c.con_coeff != 1, minlength=ncons)
-    if (np.any(c.lower[budget] != first.lower) or np.any(c.upper[budget] != first.upper)
-            or np.any(size[budget] != n) or np.any(not_unit[budget] > 0)):
+    if np.any(c.lower[budget] != first.lower) or np.any(c.upper[budget] != first.upper):
         return None
     others = [con for con, one in zip(game.constraints, single) if not one]
     summed = AssignmentConstraint(np.indices((k, n)).reshape(2, -1).T,

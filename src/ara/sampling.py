@@ -52,9 +52,7 @@ class EqualityFixFailed(Exception):
 
 
 class SamplingFailure(Exception):
-    def __init__(self, failures: int):
-        self.failures = failures
-        super().__init__(f"equality repair failed {failures} times; retry cap {RETRY_CAP} exhausted")
+    """Equality repair failed on every attempt at one sample."""
 
 
 class DomainFixer(Protocol):
@@ -94,9 +92,10 @@ def to_pe0(game: AraGame) -> Pe0Form:
     """Normalize a game into partitioned-equality form.
 
     Games whose positive equalities already partition the matrix pass
-    through unchanged.  Games with per-row budget inequalities get a shared
-    dummy column holding one slack cell per asset, turning each row budget
-    into an equality; a slack cell of one marks the asset unallocated.
+    through unchanged.  Games with a budget in every row (a unit-coefficient
+    constraint over exactly the row's cells, ``CompiledGame.row_budget``)
+    get a shared dummy column holding one slack cell per asset, turning each
+    budget into an equality; a slack cell of one marks the asset unallocated.
     The other constraints, zero-fixing equalities among them, pass through
     unchanged as the inequalities.
     """
@@ -110,27 +109,19 @@ def to_pe0(game: AraGame) -> Pe0Form:
     if eqs:  # Pe0Form checks that they partition the matrix
         return Pe0Form(game, tuple(eqs), game, game.n)
 
-    # Row-budget form: every row needs one inequality over exactly its cells.
-    row_budget: dict[int, AssignmentConstraint] = {}
-    others = []
-    # with no positive equality, ``ineqs`` is every constraint, in game order
-    for con, row in zip(ineqs, game.compiled.single_row.tolist()):
-        if (row >= 0 and len(con.cells) == game.n and not con.is_equality
-                and row not in row_budget):
-            row_budget[row] = con
-        else:
-            others.append(con)
-    if set(row_budget) != set(range(game.k)):
-        missing = sorted(set(range(game.k)) - set(row_budget))[0]
-        raise Pe0StructureError(f"row {missing} has no full-row budget constraint to turn "
-                                "into a partition equality")
+    cons, budget = game.constraints, game.compiled.row_budget.tolist()
+    if -1 in budget:
+        raise Pe0StructureError(f"row {budget.index(-1)} has no full-row budget constraint with "
+                                "unit coefficients to turn into a partition equality")
+    chosen = set(budget)
+    others = tuple(con for i, con in enumerate(cons) if i not in chosen)
 
     n_ext = game.n + 1
     rows = np.indices((game.k, n_ext)).transpose(1, 2, 0)  # rows[i]: row i's cells
-    equalities = tuple(AssignmentConstraint(rows[i], row_budget[i].upper, row_budget[i].upper,
-                                            label=f"{row_budget[i].name()} (with slack)")
-                       for i in range(game.k))
-    ext = AraGame(game.k, n_ext, equalities + tuple(others), game.targets,
+    equalities = tuple(AssignmentConstraint(rows[i], cons[b].upper, cons[b].upper,
+                                            label=f"{cons[b].name()} (with slack)")
+                       for i, b in enumerate(budget))
+    ext = AraGame(game.k, n_ext, equalities + others, game.targets,
                   game.adversary_types, validate_weights=False)
     return Pe0Form(ext, equalities, game, game.n)
 
@@ -222,7 +213,8 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
         if np.any(done < fixed):
             raise GameError("equality fixer decreased a cell")
         return done[:, :pe0.source_cols], failures
-    raise SamplingFailure(failures)
+    raise SamplingFailure(f"equality repair failed {failures} times; "
+                          f"retry cap {RETRY_CAP} exhausted")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ toy with overlapping schedules; ``fig1c_tsg`` the two-resource screening
 toy whose middle team uses both resources, so both have genuinely crossing
 assignment constraints.
 
-``utility`` and ``violations`` read one target or one pure strategy through
-the package's compiled game; ``coverage`` and ``constraint_sum`` are
-independent references, plain loops over one target's or one constraint's
-(row, col) pairs.
+``utility``, ``violations_within`` and ``violations`` read one target or one
+strategy through the package's compiled game; ``coverage`` and
+``constraint_sum`` are independent references, plain loops over one
+target's or one constraint's (row, col) pairs.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from ara.core import (
     GameError,
     PureStrategy,
     Target,
-    constraint_violations,
 )
 from ara.fams import FamsInstance, FlightSpec, Schedule
 from ara.tsg import CategorySpec, ResourceSpec, RiskLevel, TeamSpec, TsgInstance
@@ -41,10 +40,15 @@ def utility(game: AraGame, x, target_id: str) -> float:
     return float(game.compiled.utilities(x)[game.compiled.position(target_id)])
 
 
+def violations_within(game: AraGame, x, tol: float) -> list:
+    """The constraints one strategy matrix breaks by more than ``tol``."""
+    return game.compiled.violations([x], tol)[0]
+
+
 def violations(game: AraGame, p) -> list:
     """The constraints a pure strategy breaks; ``PureStrategy`` refuses
     fractional and negative cells with a ``GameError``."""
-    return constraint_violations(game, PureStrategy(getattr(p, "values", p)).values, tol=0.0)
+    return violations_within(game, PureStrategy(getattr(p, "values", p)).values, 0.0)
 
 
 def constraint_sum(con: AssignmentConstraint, m) -> float:

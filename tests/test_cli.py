@@ -327,6 +327,56 @@ class TestSolveCommand:
         assert main(["solve", "--instance", str(bad), "--method", "exact"]) == 2
 
 
+def _fams_data(fig1b_fams, **changes):
+    return {**fams_to_json(fig1b_fams), **changes}
+
+
+def _tsg_data(fig1c_tsg, passengers):
+    data = tsg_to_json(fig1c_tsg)
+    data["categories"][0]["n"] = passengers
+    for resource in data["resources"]:
+        resource["capacity"] = passengers
+    return data
+
+
+def _game_data(fig1b_fams, upper):
+    data = game_to_json(encode_fams(fig1b_fams))
+    data["constraints"][0]["upper"] = upper
+    return data
+
+
+def _with_flight(fig1b_fams, **changes):
+    data = fams_to_json(fig1b_fams)
+    data["flights"][0].update(changes)
+    return data
+
+
+@pytest.mark.parametrize("make, code, message", [
+    (lambda f, t: _fams_data(f, marshals=2.5), 3, "marshal count 2.5 is not an integer"),
+    (lambda f, t: _fams_data(f, marshals=10 ** 12), 3, "exceed the 134217728 cell cap"),
+    (lambda f, t: _tsg_data(t, 10 ** 20), 3, "past the int64 range"),
+    (lambda f, t: _game_data(f, 10 ** 20), 3, "past the int64 range"),
+    (lambda f, t: [1, 2], 2, "expected a JSON object, not list"),
+    (lambda f, t: "hello", 2, "expected a JSON object, not str"),
+    (lambda f, t: _with_flight(f, u_def=float("nan")), 3, "has non-finite payoffs"),
+    (lambda f, t: _fams_data(f, marshals="3"), 3, "marshal count '3' is not an integer"),
+    (lambda f, t: _fams_data(f, marshals=True), 3, "marshal count True is not an integer"),
+    (lambda f, t: _fams_data(f, schedules=[{"id": "s9", "flights": ["f9"]}]), 3,
+     "references unknown flight 'f9'"),
+], ids=["fractional-marshals", "huge-marshals", "tsg-passengers-past-int64",
+        "game-bound-past-int64", "list", "string", "nan-payoff", "string-marshals",
+        "boolean-marshals", "unknown-flight"])
+def test_malformed_instance_is_one_error_line(tmp_path, capsys, fig1b_fams, fig1c_tsg,
+                                              make, code, message):
+    """Every malformed instance ends in exit code 2 (parse) or 3 (solver)
+    with one ``error:`` line and no traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make(fig1b_fams, fig1c_tsg)))
+    assert main(["solve", "--instance", str(path), "--method", "marginal-bound"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 class TestGenerateCommand:
     def test_generate_fams(self, tmp_path):
         out = tmp_path / "inst.json"

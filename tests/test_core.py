@@ -14,12 +14,18 @@ from ara.core import (
     PureStrategy,
     Target,
     check_implementability,
-    constraint_violations,
     game_value,
 )
 from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.tsg import encode_tsg
-from conftest import constraint_sum, coverage, random_raw_game, utility, violations
+from conftest import (
+    constraint_sum,
+    coverage,
+    random_raw_game,
+    utility,
+    violations,
+    violations_within,
+)
 
 
 def single_target_game(u_def=-1.0, u_undef=-5.0, weight=1.0):
@@ -175,7 +181,7 @@ class TestValidPure:
         m[0, 0] = 1
         m[1, 2] = 1
         assert violations(game, m) == []
-        assert constraint_violations(game, m.astype(float), tol=1e-7) == []
+        assert violations_within(game, m.astype(float), 1e-7) == []
 
 
 def loop_coverage(game, m, t):
@@ -207,8 +213,23 @@ class TestCompiledGame:
             m = rng.integers(0, 4, size=(game.k, game.n))
             expected = [(c.name(), constraint_sum(c, m)) for c in game.constraints
                         if not c.lower <= constraint_sum(c, m) <= c.upper]
-            got = [(v.constraint, v.achieved) for v in constraint_violations(game, m, tol=0.0)]
+            got = [(v.constraint, v.achieved) for v in violations_within(game, m, 0.0)]
             assert got == expected
+
+    def test_row_budget_matches_constraint_loop(self):
+        found = 0
+        for seed in range(300):
+            game = random_raw_game(np.random.default_rng(6000 + seed))
+            expected = []
+            for i in range(game.k):
+                row = [(i, j) for j in range(game.n)]
+                budgets = [ci for ci, con in enumerate(game.constraints)
+                           if sorted(map(tuple, con.cells.tolist())) == row
+                           and (con.coeffs is None or set(con.coeffs.tolist()) == {1})]
+                expected.append(budgets[0] if budgets else -1)
+            assert game.compiled.row_budget.tolist() == expected
+            found += sum(b >= 0 for b in expected)
+        assert found > 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sums_of_several_matrices_match_constraint_loop(self, seed):
@@ -225,7 +246,7 @@ class TestCompiledGame:
             assert row.tolist() == [constraint_sum(c, m) for c in game.constraints]
         expected = [constraint_sum(c, mats[-1]) for c in game.constraints]
         assert np.allclose(sums[-1], expected, rtol=0, atol=1e-12)
-        assert game.compiled.violations(mats) == [constraint_violations(game, m, tol=0.0)
+        assert game.compiled.violations(mats) == [violations_within(game, m, 0.0)
                                                   for m in mats]
 
     @pytest.mark.parametrize("seed", range(30))
@@ -264,7 +285,7 @@ class TestCompiledGame:
     def test_wrong_shape_is_a_game_error(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
         with pytest.raises(GameError, match="shape"):
-            constraint_violations(game, np.zeros((3, 4)), tol=0.0)
+            violations_within(game, np.zeros((3, 4)), 0.0)
         with pytest.raises(GameError, match="shape"):
             coverage(game, np.zeros((2, 3)), "c_r1_f1")
 

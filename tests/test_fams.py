@@ -9,9 +9,9 @@ from ara.core import GameError, game_value
 from ara.exact import MaximinSolution, enumerate_pure, exact_maximin
 from ara.fams import (
     DbrNodeCapError,
-    DbrTables,
     FamsFixer,
     FamsInstance,
+    FamsTables,
     FlightSpec,
     Schedule,
     encode_fams,
@@ -96,8 +96,9 @@ def loop_fix_inequalities(x, pe0, rng):
 
 
 class TestInstanceIndexes:
-    """The fixer's and column generation's indexes, built from the instance,
-    against the encoded game's target cells (flight t is target t)."""
+    """``FamsTables``, built from the instance, against the encoded game:
+    its target cells (flight t is target t) and its forbidden-pair
+    constraints."""
 
     @pytest.mark.parametrize("inst", [
         *(pytest.param(random_toy_fams(np.random.default_rng(720 + seed)), id=f"toy{seed}")
@@ -114,14 +115,25 @@ class TestInstanceIndexes:
         for t, target in enumerate(game.targets):
             for _, j in target.cells.tolist():
                 incidence[t, j] = 1
-        fixer = FamsFixer(inst)
-        assert fixer.flights_of == tuple(tuple(np.flatnonzero(col).tolist())
-                                         for col in incidence.T)
+        tables = FamsTables(inst)
+        assert (tables.k, tables.n) == (game.k, game.n)
+        assert tables.flights_of == tuple(tuple(np.flatnonzero(col).tolist())
+                                          for col in incidence.T)
+        assert tables.masks == tuple(sum(1 << t for t in np.flatnonzero(col).tolist())
+                                     for col in incidence.T)
         ids = [target.id for target in game.targets]
-        assert fixer.rank == tuple(sorted(ids).index(tid) for tid in ids)
-        flight_of, col_of = fams._flight_major(fixer.flights_of)
+        assert tables.rank == tuple(sorted(ids).index(tid) for tid in ids)
         expected = np.nonzero(incidence)
-        assert np.array_equal(flight_of, expected[0]) and np.array_equal(col_of, expected[1])
+        assert np.array_equal(tables.flight_of, expected[0])
+        assert np.array_equal(tables.col_of, expected[1])
+        # a marshal may fly a schedule unless a constraint pins their cell to zero
+        pinned = np.zeros((game.k, game.n), dtype=bool)
+        for con in game.constraints:
+            if con.upper == 0:
+                pinned[tuple(con.cells.T)] = True
+        assert tables.allowed == tuple(
+            tuple(np.flatnonzero(~col).tolist()) if col.any() else None for col in pinned.T)
+        assert [s.id for s in inst.schedules] == sorted(tables.col, key=tables.col.get)
 
 
 class TestFixer:
@@ -528,7 +540,7 @@ def _cg(inst):
 
 def _dbr(inst, w):
     """The best response with no bound from the summed flight masses."""
-    return fams_dbr(DbrTables(inst), w, np.inf)
+    return fams_dbr(FamsTables(inst), w, np.inf)
 
 
 def _fams_cg_instance(seed):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ara import exact, marginal
-from ara.core import AraGame, AssignmentConstraint, Target, constraint_violations
+from ara.core import AraGame, AssignmentConstraint, Target
 from ara.exact import enumerate_pure, exact_maximin
 from ara.fams import FamsFixer, FamsInstance, encode_fams
 from ara.generators import GenConfig, gen_fams
@@ -17,7 +17,7 @@ from ara.tsg import (
     TsgInstance,
     encode_tsg,
 )
-from conftest import random_raw_game, random_toy_fams, random_toy_tsg
+from conftest import random_raw_game, random_toy_fams, random_toy_tsg, violations_within
 
 
 def test_single_saturating_target():
@@ -47,7 +47,7 @@ def test_fig1b_dominates_exact(fig1b_fams):
 def test_marginal_satisfies_constraints(fig1b_fams):
     game = encode_fams(fig1b_fams)
     ms = solve_marginal(game)
-    assert constraint_violations(game, ms.x_m.values, tol=1e-7) == []
+    assert violations_within(game, ms.x_m.values, 1e-7) == []
     assert np.all(ms.x_m.values >= 0)
 
 
@@ -68,7 +68,7 @@ def test_payoff_scaling_scales_bound(fig1b_fams):
                                           scaled_flights, fig1b_fams.forbidden))
     a, b = solve_marginal(game), solve_marginal(scaled)
     assert b.upper_bound == pytest.approx(lam * a.upper_bound, rel=1e-9)
-    assert constraint_violations(game, b.x_m.values, tol=1e-7) == []
+    assert violations_within(game, b.x_m.values, 1e-7) == []
 
 
 def test_infeasible_reports_constraints():
@@ -153,7 +153,7 @@ def test_staircase_marginal_is_feasible_and_keeps_column_sums(seed, lp_solutions
     x = solve_marginal(game).x_m.values
     (prog, sol), = lp_solutions
     y = np.maximum(sol.values[:game.n], 0.0)
-    assert constraint_violations(game, x, tol=1e-9) == []
+    assert violations_within(game, x, 1e-9) == []
     np.testing.assert_allclose(x.sum(axis=0), y, rtol=0, atol=1e-12)
     # rows fill in column order, so a column of mass at most one (the row
     # budget) touches at most two rows
