@@ -21,6 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -149,6 +150,9 @@ class AraGame:
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "targets", tuple(self.targets))
+        for name, size in (("k", self.k), ("n", self.n)):
+            if isinstance(size, bool) or not isinstance(size, Integral):
+                raise GameError(f"matrix dimension {name} = {size!r} is not an integer")
         if self.k < 1 or self.n < 1:
             raise GameError("matrix dimensions must be positive")
         if self.k * self.n > MAX_CELLS:
@@ -308,13 +312,14 @@ class CompiledGame:
             if x.shape != self.shape:
                 raise GameError(f"strategy shape {x.shape} does not match {self.shape}")
             flat = x.ravel()
-            nz = np.flatnonzero(flat)
+            nz = (flat != 0).nonzero()[0]  # cheaper than ``np.flatnonzero`` on integers
             cells.append(nz)
             vals.append(flat[nz])
         rows, count = len(cells), len(self.names)
         owner = np.repeat(np.arange(rows) * count, [len(c) for c in cells])
-        lens, entry = self.at_cells(np.concatenate(cells))
-        weights = np.repeat(np.concatenate(vals), lens) * self.con_coeff[entry]
+        empty = np.zeros(0, np.int64)
+        lens, entry = self.at_cells(np.concatenate([empty, *cells]))
+        weights = np.repeat(np.concatenate([empty, *vals]), lens) * self.con_coeff[entry]
         return np.bincount(np.repeat(owner, lens) + self.con_seg[entry], weights=weights,
                            minlength=rows * count).reshape(rows, count)
 
@@ -439,12 +444,12 @@ class PureStrategy:
         arr = np.array(self.values)
         if arr.ndim != 2:
             raise GameError("strategy matrix must be 2-d")
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":  # not an integer dtype
             rounded = np.rint(arr)
             if np.any(np.abs(arr - rounded) > 0):
                 raise GameError("pure strategy has fractional cells")
             arr = rounded.astype(np.int64)
-        if np.any(arr < 0):
+        if arr.size and arr.min() < 0:
             raise GameError("pure strategy has negative cells")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -127,86 +127,102 @@ class FamsFixer:
     random.  Freed marshals land on the slack column, so equalities are
     restored without ever decreasing a cell.
 
-    ``fix_inequalities`` builds its state once per call, over the allocated
-    schedules only: each one's marshals (lowest row first), the coverage of
-    every flight they fly, the allocated schedules flying each such flight,
-    the blocked schedules (those with a flight at coverage 1) and the clean
-    ones (allocated and not blocked); after that it keeps the coverage of
-    the violated flights only.  Every flight of an allocated schedule has
-    coverage at least 1, so a clean schedule hits only violated flights and
-    its score is its flight count.  A blocked schedule stays blocked while
-    it has a marshal: its flight at coverage 1 can only fall to 0 when the
-    schedule's last marshal comes off.  One marshal comes off per step, and
-    a step updates only the chosen schedule's violated flights and, through
-    a flight reaching coverage 1, the schedules flying it.
+    ``fix_inequalities`` first folds the allocated schedules' flight masks
+    (``FamsTables.masks``), one marshal at a time, into the flights covered
+    at least once and at least twice; with none covered twice the matrix is
+    returned as it came.  ``single`` holds the flights that have been at
+    coverage 1, and a schedule with a marshal is blocked when its mask meets
+    ``single``.  Only the schedules on a violated flight are walked flight
+    by flight, for each one's marshals (lowest row first), the coverage of
+    the violated flights (kept in id order) and the schedules flying each:
+    every other allocated schedule flies only flights at coverage 1, so it
+    is blocked from the start and no violated flight lists it.  Every flight
+    of a schedule with a marshal has coverage at least 1, so one that is not
+    blocked hits only violated flights and its score is its flight count.
+
+    Coverage never rises, so ``single`` only grows: a violated flight joins
+    it on falling to 1.  A flight in it that falls to 0 has lost its one
+    schedule's last marshal, so no schedule it could block is left.  Hence
+    a schedule that is blocked or has no marshal left never becomes clean
+    again, and the clean schedules, sorted once by most flights then lowest
+    column, are walked with one pointer that skips those.  One marshal comes
+    off per step, from a schedule on a violated flight, and a step updates
+    only the chosen schedule's violated flights.
 
     Ties: equal schedules go to the lowest column; the random drop serves
     the most covered flight, ties to the lowest flight id, and draws one
     ``rng.integers`` over that flight's allocated schedules in column order;
     the marshal taken off is the lowest row.
 
-    Reads the instance's ``FamsTables``, built once: each schedule's
-    flights in flight order (``flights_of``) and each flight's rank in id
-    order (``rank``).  The fixer keeps no state between calls."""
+    Reads the instance's ``FamsTables``, built once: each schedule's flight
+    mask (``masks``) and flights in flight order (``flights_of``), and each
+    flight's rank in id order (``rank``).  The fixer keeps no state between
+    calls."""
 
     def __init__(self, inst: FamsInstance):
         self.tables = FamsTables(inst)
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        flights_of, rank = self.tables.flights_of, self.tables.rank
+        masks, flights_of, rank = self.tables.masks, self.tables.flights_of, self.tables.rank
         x = x.copy()
-        n = pe0.source_cols
-        rows, cols = np.divmod(np.flatnonzero(x[:, :n] != 0), n)
-        marshals: dict[int, list[int]] = {}  # per allocated schedule, lowest row first
-        for i, j, units in zip(rows.tolist(), cols.tolist(), x[rows, cols].tolist()):
-            marshals.setdefault(j, []).extend([i] * units)
-        allocated = sorted(marshals)
-        cov: dict[int, int] = {}
-        flying: dict[int, list[int]] = {}
-        for j in allocated:
-            units = len(marshals[j])
+        n, width = pe0.source_cols, x.shape[1]
+        flat = (x != 0).ravel().nonzero()[0]  # row-major, so rows ascend
+        seated: dict[int, list[int]] = {}  # per allocated schedule, its marshals
+        once = twice = 0
+        for t, units in zip(flat.tolist(), x.ravel()[flat].tolist()):
+            i, j = divmod(t, width)
+            if j < n:
+                mask = masks[j]
+                twice |= mask if units > 1 else once & mask
+                once |= mask
+                seated.setdefault(j, []).extend([i] * units)
+        if not twice:
+            return x
+        single = once & ~twice
+        hit = sorted(j for j in seated if masks[j] & twice)
+        violated: dict[int, int] = {}  # coverage of each violated flight
+        flying: dict[int, list[int]] = {}  # its allocated schedules, ascending
+        for j in hit:
+            units = len(seated[j])
             for f in flights_of[j]:
-                if f in cov:
-                    cov[f] += units
-                    flying[f].append(j)
-                else:
-                    cov[f] = units
-                    flying[f] = [j]
-        blocked = set().union(*(flying[f] for f, c in cov.items() if c == 1))
-        violated = {f: c for f, c in cov.items() if c > 1}
-        clean = [j for j in allocated if j not in blocked]
-        # each step takes one marshal off, so all are off after this many
-        for _ in range(sum(map(len, marshals.values())) + 1):
-            if not violated:
-                return x
-            clean = [j for j in clean if marshals[j] and j not in blocked]
-            if clean:
-                best = clean[0]
-                for j in clean:
-                    if len(flights_of[j]) > len(flights_of[best]):
-                        best = j
+                if twice >> f & 1:
+                    if f in violated:
+                        violated[f] += units
+                        flying[f].append(j)
+                    else:
+                        violated[f] = units
+                        flying[f] = [j]
+        # in id order, so the first most covered flight has the lowest id
+        violated = {f: violated[f] for f in sorted(violated, key=rank.__getitem__)}
+        # the sort is stable, so equal flight counts keep their ascending columns
+        clean = sorted((j for j in hit if not masks[j] & single),
+                       key=lambda j: -len(flights_of[j]))
+        pos = 0
+        while violated:
+            while pos < len(clean) and (not seated[clean[pos]] or masks[clean[pos]] & single):
+                pos += 1
+            if pos < len(clean):
+                best = clean[pos]
             else:
-                top = max(violated.values())
-                worst = min([f for f, c in violated.items() if c == top], key=rank.__getitem__)
-                options = [j for j in flying[worst] if marshals[j]]
+                worst = max(violated, key=violated.__getitem__)
+                options = [j for j in flying[worst] if seated[j]]
                 best = options[rng.integers(len(options))]
-            x[marshals[best].pop(0), best] -= 1
+            x[seated[best].pop(0), best] -= 1
             for f in flights_of[best]:
-                if f not in violated:
-                    continue  # at coverage 1, so ``best`` was its only schedule
-                if violated[f] == 2:
+                c = violated.get(f)  # None at coverage 1: ``best`` was its only schedule
+                if c == 2:
                     del violated[f]
-                    blocked.update(flying[f])
-                else:
-                    violated[f] -= 1
-        raise GameError("schedule repair did not end within its allocated marshals")
+                    single |= 1 << f
+                elif c:
+                    violated[f] = c - 1
+        return x
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         """Fill each marshal's unit budget (``encode_fams``) on the slack column."""
-        x = x.copy()
         short = 1 - x.sum(axis=1)
-        if np.any(short < 0):
+        if short.min() < 0:
             raise GameError("a row exceeds its budget after repair")
+        x = x.copy()
         x[:, pe0.source_cols] += short
         return x
 

@@ -10,7 +10,10 @@ RNG draw order.  Each attempt at a sample takes one ``rng.random(G)``: a
 uniform for each of the G equality groups with fractional mass, in
 partition order (``_CombSampler``).  The domain fixer's draws follow; a
 failed equality repair starts a new attempt, up to ``RETRY_CAP`` retries
-per sample.
+per sample.  The comb set-up in one vectorised pass over all groups and
+the mask-based schedule repair of ``FamsFixer`` kept this order, and every
+seeded sample, as the per-group set-up and the flight-by-flight repair
+had them (``TestSeededOutputs``).
 
 Validity check.  ``estimate_mixed`` checks its samples against the source
 game's constraints in one pass after all m are drawn, ``CHECK_BLOCK``
@@ -126,22 +129,6 @@ def to_pe0(game: AraGame) -> Pe0Form:
     return Pe0Form(ext, equalities, game, game.n)
 
 
-def _comb_prepare(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Floors, cumulative fractional parts and bucket count of one group;
-    parts within 1e-7 of an integer count as integral."""
-    floors = np.floor(vals)
-    frac = vals - floors
-    snap = frac > 1.0 - 1e-7
-    floors[snap] += 1.0
-    frac[snap] = 0.0
-    frac[frac < 1e-7] = 0.0
-    total = frac.sum()
-    buckets = int(round(total))
-    if abs(total - buckets) > COMB_SUM_TOL:
-        raise GameError(f"fractional mass {total} is not integral within {COMB_SUM_TOL}")
-    return floors.astype(np.int64), np.cumsum(frac), buckets
-
-
 class _CombSampler:
     """Comb rounding of one fixed marginal over a whole equality partition.
 
@@ -151,8 +138,12 @@ class _CombSampler:
     cell keeps its marginal value in expectation and the group sum is kept
     exactly.
 
-    Floors, cumulative fractions and bucket counts are computed once.  A
-    sample draws one uniform per group with fractional mass, in partition
+    Floors, cumulative fractions and bucket counts are computed once, for
+    all groups together; fractional parts within 1e-7 of an integer count
+    as integral.  The cumulative fractions of equal-sized groups come from
+    one ``np.cumsum`` along the rows of a 2-D array, the same floats as a
+    cumsum group by group, and a group's fractional mass is its last one.
+    A sample draws one uniform per group with fractional mass, in partition
     order, and finds every mark's cell with one search over keys draw + 1j *
     cumulative fraction (both parts exact): NumPy orders complex numbers by
     real, then imaginary part, so the search stays within each group and
@@ -164,28 +155,46 @@ class _CombSampler:
         if x.shape != self.shape:
             raise GameError(f"marginal shape {x.shape} is not the PE0 game's {self.shape}; "
                             "solve the marginal LP of pe0.game")
-        values = x.ravel()
-        self.base = np.zeros(values.size, dtype=np.int64)
         part = pe0.equality_partition
-        sizes = [len(con.cells) for con in part]
+        sizes = np.array([len(con.cells) for con in part])
+        group = np.repeat(np.arange(len(part)), sizes)
         cells = np.concatenate([con.cells for con in part])
         flat = cells[:, 0] * self.shape[1] + cells[:, 1]
-        flat = flat[np.lexsort((flat, np.repeat(np.arange(len(part)), sizes)))]
-        groups = []  # (cells, cumulative fractions, buckets) of groups that draw
-        for cells in np.split(flat, np.cumsum(sizes)[:-1]):  # each ascending
-            self.base[cells], cum, buckets = _comb_prepare(values[cells])
-            if buckets:
-                groups.append((cells, cum, buckets))
-        self.draws = len(groups)
+        flat = flat[np.lexsort((flat, group))]  # ascending within each group
+        vals = x.ravel()[flat]
+        floors = np.floor(vals)
+        frac = vals - floors
+        snap = frac > 1.0 - 1e-7
+        floors[snap] += 1.0
+        frac[snap] = 0.0
+        frac[frac < 1e-7] = 0.0
+        self.base = np.zeros(x.size, dtype=np.int64)
+        self.base[flat] = floors.astype(np.int64)
+        # one cumsum per group size: the cells of equal-sized groups, in
+        # group order, are the rows of one 2-D array
+        size_of = sizes[group]
+        by_size = np.argsort(size_of, kind="stable")
+        cum = np.empty_like(frac)
+        for at in np.split(by_size, np.flatnonzero(np.diff(size_of[by_size])) + 1):
+            cum[at] = np.cumsum(frac[at].reshape(-1, size_of[at[0]]), axis=1).ravel()
+        total = cum[np.cumsum(sizes) - 1]
+        buckets = np.rint(total)
+        bad = np.abs(total - buckets) > COMB_SUM_TOL
+        if bad.any():
+            raise GameError(f"fractional mass {total[bad][0]} is not integral "
+                            f"within {COMB_SUM_TOL}")
+        drawing = buckets > 0
+        self.draws = int(drawing.sum())
         if self.draws:
-            cells, cums, buckets = zip(*groups)
-            sizes = [len(c) for c in cells]
-            self.keys = np.repeat(np.arange(self.draws), sizes) + 1j * np.concatenate(cums)
-            self.key_cell = np.concatenate(cells)
+            keep = drawing[group]
+            buckets = buckets[drawing].astype(np.int64)
+            self.keys = (np.cumsum(drawing) - 1)[group[keep]] + 1j * cum[keep]
+            self.key_cell = flat[keep]
             self.mark_draw = np.repeat(np.arange(self.draws), buckets)
-            self.mark_t = np.concatenate([np.arange(b, dtype=float) for b in buckets])
-            self.mark_cap = np.array([cum[-1] - 1e-12 for cum in cums])[self.mark_draw]
-            self.mark_last = (np.cumsum(sizes) - 1)[self.mark_draw]
+            self.mark_t = (np.arange(buckets.sum())
+                           - np.repeat(np.cumsum(buckets) - buckets, buckets)).astype(float)
+            self.mark_cap = (total[drawing] - 1e-12)[self.mark_draw]
+            self.mark_last = (np.cumsum(sizes[drawing]) - 1)[self.mark_draw]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = self.base.copy()
@@ -203,14 +212,14 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
     for _ in range(RETRY_CAP + 1):
         x = sampler.sample(rng)
         fixed = fixer.fix_inequalities(x, pe0, rng)
-        if np.any(fixed > x):
+        if (fixed > x).any():
             raise GameError("inequality fixer increased a cell")
         try:
             done = fixer.fix_equalities(fixed, pe0, rng)
         except EqualityFixFailed:
             failures += 1
             continue
-        if np.any(done < fixed):
+        if (done < fixed).any():
             raise GameError("equality fixer decreased a cell")
         return done[:, :pe0.source_cols], failures
     raise SamplingFailure(f"equality repair failed {failures} times; "

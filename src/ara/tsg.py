@@ -21,7 +21,8 @@ class ResourceSpec:
     capacity: int
 
     def __post_init__(self):
-        if self.capacity < 0 or int(self.capacity) != self.capacity:
+        if (isinstance(self.capacity, bool) or self.capacity < 0
+                or int(self.capacity) != self.capacity):
             raise GameError(f"resource {self.id!r} capacity must be a nonnegative integer")
 
 
@@ -49,6 +50,9 @@ class CategorySpec:
     u_undef: float
 
     def __post_init__(self):
+        if isinstance(self.passengers, bool):
+            raise GameError(f"category {self.id!r} passenger count {self.passengers!r} "
+                            "is not an integer")
         if self.passengers < 1:
             raise GameError(f"category {self.id!r} has {self.passengers} passengers")
         if self.u_def < self.u_undef:

@@ -339,6 +339,17 @@ def _tsg_data(fig1c_tsg, passengers):
     return data
 
 
+def _tsg_category(fig1c_tsg, n=None, capacity=None):
+    """The screening toy with its first category's passenger count or its
+    first resource's capacity replaced."""
+    data = tsg_to_json(fig1c_tsg)
+    if n is not None:
+        data["categories"][0]["n"] = n
+    if capacity is not None:
+        data["resources"][0]["capacity"] = capacity
+    return data
+
+
 def _game_data(fig1b_fams, upper):
     data = game_to_json(encode_fams(fig1b_fams))
     data["constraints"][0]["upper"] = upper
@@ -363,9 +374,18 @@ def _with_flight(fig1b_fams, **changes):
     (lambda f, t: _fams_data(f, marshals=True), 3, "marshal count True is not an integer"),
     (lambda f, t: _fams_data(f, schedules=[{"id": "s9", "flights": ["f9"]}]), 3,
      "references unknown flight 'f9'"),
+    (lambda f, t: {**game_to_json(encode_fams(f)), "k": True}, 3,
+     "matrix dimension k = True is not an integer"),
+    (lambda f, t: {**game_to_json(encode_fams(f)), "n": 2.5}, 3,
+     "matrix dimension n = 2.5 is not an integer"),
+    (lambda f, t: _tsg_category(t, n=True), 3,
+     "category 'c_r1_f1' passenger count True is not an integer"),
+    (lambda f, t: _tsg_category(t, capacity=True), 3,
+     "resource 'xray' capacity must be a nonnegative integer"),
 ], ids=["fractional-marshals", "huge-marshals", "tsg-passengers-past-int64",
         "game-bound-past-int64", "list", "string", "nan-payoff", "string-marshals",
-        "boolean-marshals", "unknown-flight"])
+        "boolean-marshals", "unknown-flight", "boolean-game-k", "fractional-game-n",
+        "boolean-passengers", "boolean-capacity"])
 def test_malformed_instance_is_one_error_line(tmp_path, capsys, fig1b_fams, fig1c_tsg,
                                               make, code, message):
     """Every malformed instance ends in exit code 2 (parse) or 3 (solver)

@@ -249,6 +249,31 @@ class TestCompiledGame:
         assert game.compiled.violations(mats) == [violations_within(game, m, 0.0)
                                                   for m in mats]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sums_of_a_block_match_one_matrix_at_a_time(self, seed):
+        # bit for bit, real matrices too: the marginal check sums a real x
+        # alone, the sample check a block of integer ones
+        rng = np.random.default_rng(1100 + seed)
+        game = random_raw_game(rng)
+        c = game.compiled
+        shape = (game.k, game.n)
+        sparse = rng.random(shape) * (rng.random(shape) < 0.3)
+        mats = [rng.random(shape) * 3, np.zeros(shape), sparse, np.full(shape, 0.1),
+                rng.integers(0, 3, size=shape), np.zeros(shape, dtype=np.int64)]
+        sums = c.constraint_sums(mats)
+        assert sums.shape == (len(mats), len(game.constraints))
+        for m, row in zip(mats, sums):
+            assert np.array_equal(row, c.constraint_sums([m])[0])
+        assert not sums[1].any() and not sums[-1].any()
+
+    def test_sums_of_no_matrices_and_of_a_wrong_shape(self):
+        game = random_raw_game(np.random.default_rng(1200))
+        c = game.compiled
+        assert c.constraint_sums([]).shape == (0, len(game.constraints))
+        assert c.violations([]) == []
+        with pytest.raises(GameError, match="shape"):
+            c.constraint_sums([np.zeros((game.k, game.n)), np.zeros((game.k, game.n + 1))])
+
     @pytest.mark.parametrize("seed", range(30))
     def test_coverage_and_value_match_loops(self, seed):
         rng = np.random.default_rng(950 + seed)
@@ -436,6 +461,24 @@ class TestTypes:
     def test_pure_strategy_must_be_integral(self):
         with pytest.raises(GameError, match="fractional"):
             PureStrategy(np.array([[0.5]]))
+
+    @pytest.mark.parametrize("values, expected", [
+        (np.array([[2, 0]], dtype=np.int8), np.int8),
+        (np.array([[2, 0]], dtype=np.uint16), np.uint16),
+        (np.array([[2.0, -0.0]]), np.int64),
+        (np.array([[True, False]]), np.int64),
+        (np.zeros((0, 3), dtype=np.int64), np.int64),
+    ], ids=["int8", "uint16", "float", "bool", "empty"])
+    def test_pure_strategy_keeps_integers_and_rounds_the_rest(self, values, expected):
+        p = PureStrategy(values)
+        assert p.values.dtype == expected
+        assert np.array_equal(p.values, values)
+
+    @pytest.mark.parametrize("values", [np.array([[-1, 0]]), np.array([[0.0, -2.0]])],
+                             ids=["int", "float"])
+    def test_pure_strategy_refuses_negative_cells(self, values):
+        with pytest.raises(GameError, match="negative"):
+            PureStrategy(values)
 
     def test_strategies_are_frozen(self):
         p = PureStrategy(np.array([[1]]))

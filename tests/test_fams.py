@@ -225,6 +225,17 @@ class TestFixer:
         assert np.array_equal(out, expected)
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    @staticmethod
+    def assert_matches_loop_reference(fixer, pe0, xs, rng):
+        """The fixer against the loop on each matrix, with the same draws:
+        the generator state after every call pins their number and order."""
+        for x in xs:
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            out = fixer.fix_inequalities(x, pe0, rng)
+            assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_loop_reference(self, seed):
         rng = np.random.default_rng(700 + seed)
@@ -240,6 +251,17 @@ class TestFixer:
             twin.bit_generator.state = state
             assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
             assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_loop_reference_with_forbidden_pairs(self, seed):
+        rng = np.random.default_rng(760 + seed)
+        inst = with_random_forbidden(random_toy_fams(rng), rng)
+        _, pe0 = _pe0_for(inst)
+        k, n = inst.num_marshals, len(inst.schedules)
+        xs = np.zeros((10, k, n + 1), dtype=np.int64)
+        for x in xs:
+            x[np.arange(k), rng.integers(0, n + 1, size=k)] = 1
+        self.assert_matches_loop_reference(FamsFixer(inst), pe0, xs, rng)
 
     def test_matches_loop_reference_at_benchmark_shape(self):
         # comb samples of a seeded 40-flight game, 80 schedules of 3 flights
@@ -271,6 +293,52 @@ class TestFixer:
             draws += counting.draws
         # both the random drop and the clean pick ran
         assert 0 < draws < decrements
+
+    def test_matches_loop_reference_at_fams_rand_scale(self):
+        # comb samples of the fams-rand shape: 100 flights, 200 schedules of
+        # 3 flights, 20 marshals
+        inst = gen_fams(GenConfig(seed=0, family="fams", flights=100, schedules=200,
+                                  targets_per_schedule=3, resources=20))
+        _, pe0 = _pe0_for(inst)
+        sampler = _CombSampler(pe0, solve_marginal(pe0.game).x_m.values)
+        rng = np.random.default_rng(21)
+        xs = [sampler.sample(rng) for _ in range(40)]
+        fixer = FamsFixer(inst)
+        self.assert_matches_loop_reference(fixer, pe0, xs, rng)
+        # every sample needed repair
+        assert all(fixer.fix_inequalities(x, pe0, rng).sum() < x.sum() for x in xs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_loop_reference_with_stacked_marshals(self, seed):
+        # hand-made matrices: several marshals on one schedule, and cells
+        # holding 2 units, so a schedule alone can cover its flights twice
+        rng = np.random.default_rng(780 + seed)
+        inst = random_toy_fams(rng)
+        _, pe0 = _pe0_for(inst)
+        k, n = inst.num_marshals, len(inst.schedules)
+        xs = []
+        for _ in range(10):
+            x = np.zeros((k, n + 1), dtype=np.int64)
+            x[:, rng.integers(n)] = 1  # every marshal on one schedule
+            x[rng.integers(k), rng.integers(n)] += 1
+            x[rng.integers(k), rng.integers(n)] = 2
+            xs.append(x)
+        self.assert_matches_loop_reference(FamsFixer(inst), pe0, xs, rng)
+
+    def test_one_schedule_with_two_marshals_loses_the_lowest_row(self):
+        # s0 alone covers f0 twice; it is blocked by nothing, so the clean
+        # pick takes its lowest marshal off without a draw
+        inst = FamsInstance(
+            3,
+            (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
+            (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)))
+        _, pe0 = _pe0_for(inst)
+        x = np.array([[0, 1, 0], [1, 0, 0], [1, 0, 0]])
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
+        assert out.tolist() == [[0, 1, 0], [0, 0, 0], [1, 0, 0]]
+        assert rng.bit_generator.state == state
 
     def test_slack_absorbs_freed_marshals(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)

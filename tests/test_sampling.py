@@ -213,6 +213,17 @@ class TestCombSampler:
         with pytest.raises(GameError, match="not integral"):
             _CombSampler(pe0, np.array([[0.4, 0.3]]))
 
+    def test_first_non_integral_group_is_named(self):
+        # groups of 2, 3 and 1 cells; the second and third have no integral mass
+        groups = (AssignmentConstraint([(0, 0), (1, 2)], 1, 1, label="a"),
+                  AssignmentConstraint([(1, 0), (1, 1), (0, 2)], 1, 1, label="b"),
+                  AssignmentConstraint([(0, 1)], 1, 1, label="c"))
+        game = AraGame(2, 3, groups, (), validate_weights=False)
+        pe0 = Pe0Form(game, groups, game, 3)
+        x = np.array([[0.5, 0.5, 0.25], [0.25, 0.25, 0.5]])
+        with pytest.raises(GameError, match=r"fractional mass 0\.75 is not integral"):
+            _CombSampler(pe0, x)
+
 
 class TestSeededOutputs:
     """Figures recorded with the per-group sampler before comb rounding was
@@ -222,10 +233,10 @@ class TestSeededOutputs:
     coverage sums add the same terms in another order."""
 
     @staticmethod
-    def run(inst, fixer, encode):
+    def run(inst, fixer, encode, m=200):
         pe0 = to_pe0(encode(inst))
         ms = solve_marginal(pe0.game)
-        res = estimate_mixed(ms, pe0, fixer, np.random.default_rng(11), m=200)
+        res = estimate_mixed(ms, pe0, fixer, np.random.default_rng(11), m=m)
         stacked = np.stack([s.values for s in res.estimate.samples]).astype(np.int64)
         return res.value, hashlib.sha256(stacked.tobytes()).hexdigest()
 
@@ -241,6 +252,15 @@ class TestSeededOutputs:
         value, digest = self.run(inst, FamsFixer(inst), encode_fams)
         assert value == -3.744999999999999
         assert digest == "7ba8469dc68ada78abcaa0e380e6dec75305750af782c611fae65562bf23cdec"
+
+    def test_fams_at_benchmark_scale(self):
+        # the fams-rand shape: 100 flights, 200 schedules of 3, 20 marshals,
+        # 300 samples; recorded before the schedule repair was rebuilt
+        inst = gen_fams(GenConfig(seed=0, family="fams", flights=100, schedules=200,
+                                  targets_per_schedule=3, resources=20))
+        value, digest = self.run(inst, FamsFixer(inst), encode_fams, m=300)
+        assert value == -6.01
+        assert digest == "d3f73cae0e5fde30e2164d54d5a4eb7e128842b8ca0d8da7f3fafe22420b4205"
 
 
 class TestSamplePure:
