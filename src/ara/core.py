@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +36,14 @@ MAX_CELLS = 2 ** 27
 
 class GameError(Exception):
     """Invalid game data or an operation on an unknown target."""
+
+
+def check_ids(what: str, *ids) -> None:
+    """Refuse an id that is not a string: ids are sorted and compared with
+    each other, and only strings order among themselves."""
+    for value in ids:
+        if not isinstance(value, str):
+            raise GameError(f"{what} id {value!r} is not a string")
 
 
 def _cell_arrays(cells, values, what: str, kind: str):
@@ -114,11 +122,21 @@ class Target:
     payoff_undefended: float
 
     def __post_init__(self):
+        check_ids("target", self.id)
         cells, weights = _cell_arrays(self.cells, self.weights, f"target {self.id!r}", "weights")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "weights", weights)
-        if not (math.isfinite(self.payoff_defended) and math.isfinite(self.payoff_undefended)):
+        payoffs = (self.payoff_defended, self.payoff_undefended)
+        if not all(isinstance(v, Real) for v in payoffs):
+            raise GameError(f"target {self.id!r} payoffs must be numbers")
+        try:  # floats, so that the compiled game's payoff arrays are float arrays
+            payoffs = tuple(map(float, payoffs))
+        except OverflowError:  # an int past the float range
+            raise GameError(f"target {self.id!r} has a payoff past the float range") from None
+        if not all(map(math.isfinite, payoffs)):
             raise GameError(f"target {self.id!r} has non-finite payoffs")
+        object.__setattr__(self, "payoff_defended", payoffs[0])
+        object.__setattr__(self, "payoff_undefended", payoffs[1])
         if self.payoff_defended < self.payoff_undefended:
             raise GameError(f"target {self.id!r} prefers being undefended")
 
@@ -130,6 +148,7 @@ class AdversaryType:
     targets: frozenset[str]
 
     def __post_init__(self):
+        check_ids("adversary type", self.id)
         if not 0.0 <= self.probability <= 1.0:
             raise GameError(f"adversary type {self.id!r} has probability {self.probability}")
 

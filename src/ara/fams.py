@@ -22,7 +22,8 @@ from numbers import Integral
 
 import numpy as np
 
-from ara.core import MAX_CELLS, AraGame, AssignmentConstraint, GameError, PureStrategy, Target
+from ara.core import (MAX_CELLS, AraGame, AssignmentConstraint, GameError, PureStrategy, Target,
+                      check_ids)
 from ara.exact import MaximinSolution, exact_maximin, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
@@ -49,6 +50,8 @@ class Schedule:
     flights: frozenset[str]
 
     def __post_init__(self):
+        check_ids("schedule", self.id)
+        check_ids(f"schedule {self.id!r} flight", *self.flights)
         if not self.flights:
             raise GameError(f"schedule {self.id!r} covers no flights")
         object.__setattr__(self, "flights", frozenset(self.flights))
@@ -61,6 +64,7 @@ class FlightSpec:
     u_undef: float
 
     def __post_init__(self):
+        check_ids("flight", self.id)
         if self.u_def < self.u_undef:
             raise GameError(f"flight {self.id!r} prefers being undefended")
 
@@ -124,8 +128,7 @@ class FamsFixer:
     """Repair heuristic: zero out schedules that hit the most violated
     flights without touching any satisfied one; when a violated flight has
     no such schedule, drop one of its allocated schedules uniformly at
-    random.  Freed marshals land on the slack column, so equalities are
-    restored without ever decreasing a cell.
+    random.  A freed marshal's row is left empty.
 
     ``fix_inequalities`` first folds the allocated schedules' flight masks
     (``FamsTables.masks``), one marshal at a time, into the flights covered
@@ -164,20 +167,21 @@ class FamsFixer:
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         masks, flights_of, rank = self.tables.masks, self.tables.flights_of, self.tables.rank
-        x = x.copy()
-        n, width = pe0.source_cols, x.shape[1]
+        k, n = self.tables.k, self.tables.n
+        if x.shape != (k, n):
+            raise GameError(f"sample shape {x.shape} is not {k} marshals x {n} schedules")
         flat = (x != 0).ravel().nonzero()[0]  # row-major, so rows ascend
         seated: dict[int, list[int]] = {}  # per allocated schedule, its marshals
         once = twice = 0
         for t, units in zip(flat.tolist(), x.ravel()[flat].tolist()):
-            i, j = divmod(t, width)
-            if j < n:
-                mask = masks[j]
-                twice |= mask if units > 1 else once & mask
-                once |= mask
-                seated.setdefault(j, []).extend([i] * units)
+            i, j = divmod(t, n)
+            mask = masks[j]
+            twice |= mask if units > 1 else once & mask
+            once |= mask
+            seated.setdefault(j, []).extend([i] * units)
         if not twice:
             return x
+        x = x.copy()
         single = once & ~twice
         hit = sorted(j for j in seated if masks[j] & twice)
         violated: dict[int, int] = {}  # coverage of each violated flight
@@ -218,12 +222,9 @@ class FamsFixer:
         return x
 
     def fix_equalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
-        """Fill each marshal's unit budget (``encode_fams``) on the slack column."""
-        short = 1 - x.sum(axis=1)
-        if short.min() < 0:
-            raise GameError("a row exceeds its budget after repair")
-        x = x.copy()
-        x[:, pe0.source_cols] += short
+        """Return ``x``: budgets are at most one and forbidden cells stay at
+        zero (``encode_fams``), so no equality has a positive bound; a row
+        over its budget is refused by ``estimate_mixed``'s validity check."""
         return x
 
 

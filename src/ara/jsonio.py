@@ -60,6 +60,8 @@ def game_from_json(data: dict) -> AraGame:
     try:
         cons = []
         for c in data["constraints"]:
+            if not isinstance(c, dict):
+                raise ParseError("game", f"constraint {c!r} is not a JSON object")
             sparse = {(i, j): m for i, j, m in c.get("coeffs", [])}
             coeffs = [sparse.pop(tuple(cell), 1) for cell in c["cells"]] if sparse else None
             if sparse:

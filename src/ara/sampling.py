@@ -2,18 +2,18 @@
 
 The pipeline normalizes a game into partitioned-equality form (every cell
 in exactly one equality constraint, all inequalities with lower bound 0),
-comb-samples each equality group so the group sum survives rounding, then
-hands the integral matrix to domain fixers that repair inequalities by
-decreasing cells and equalities by increasing them.
+comb-samples each equality group so the group sum survives rounding, drops
+the slack column that the normal form may add (only this module knows of
+it), then hands the source game's matrix to domain fixers that repair
+inequalities by decreasing cells and equalities by increasing them; the
+repaired matrix is the sample.
 
 RNG draw order.  Each attempt at a sample takes one ``rng.random(G)``: a
 uniform for each of the G equality groups with fractional mass, in
 partition order (``_CombSampler``).  The domain fixer's draws follow; a
 failed equality repair starts a new attempt, up to ``RETRY_CAP`` retries
-per sample.  The comb set-up in one vectorised pass over all groups and
-the mask-based schedule repair of ``FamsFixer`` kept this order, and every
-seeded sample, as the per-group set-up and the flight-by-flight repair
-had them (``TestSeededOutputs``).
+per sample.  So the seed fixes every sample and the value, which
+``TestSeededOutputs`` pins for a TSG game and FAMS games of two sizes.
 
 Validity check.  ``estimate_mixed`` checks its samples against the source
 game's constraints in one pass after all m are drawn, ``CHECK_BLOCK``
@@ -69,7 +69,7 @@ class Pe0Form:
     """A game whose equality constraints partition the allocation matrix.
 
     ``game`` may carry one extra slack column relative to ``source_game``;
-    ``source_cols`` says how many columns to keep when mapping samples back.
+    ``source_cols`` is the width of every matrix a domain fixer sees.
     """
 
     game: AraGame
@@ -210,7 +210,7 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
                        rng: np.random.Generator) -> tuple[np.ndarray, int]:
     failures = 0
     for _ in range(RETRY_CAP + 1):
-        x = sampler.sample(rng)
+        x = np.ascontiguousarray(sampler.sample(rng)[:, :pe0.source_cols])
         fixed = fixer.fix_inequalities(x, pe0, rng)
         if (fixed > x).any():
             raise GameError("inequality fixer increased a cell")
@@ -221,7 +221,7 @@ def _sample_with_stats(sampler: _CombSampler, pe0: Pe0Form, fixer: DomainFixer,
             continue
         if (done < fixed).any():
             raise GameError("equality fixer decreased a cell")
-        return done[:, :pe0.source_cols], failures
+        return done, failures
     raise SamplingFailure(f"equality repair failed {failures} times; "
                           f"retry cap {RETRY_CAP} exhausted")
 

@@ -7,11 +7,12 @@ adversary's risk level picks which categories it can attack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ara.core import AdversaryType, AraGame, AssignmentConstraint, GameError, Target
+from ara.core import AdversaryType, AraGame, AssignmentConstraint, GameError, Target, check_ids
 from ara.sampling import EqualityFixFailed, Pe0Form
 
 
@@ -21,9 +22,13 @@ class ResourceSpec:
     capacity: int
 
     def __post_init__(self):
-        if (isinstance(self.capacity, bool) or self.capacity < 0
-                or int(self.capacity) != self.capacity):
+        check_ids("resource", self.id)
+        # finite before ``int()``, which raises OverflowError on an infinity
+        if (isinstance(self.capacity, bool) or not abs(self.capacity) < math.inf
+                or self.capacity < 0 or int(self.capacity) != self.capacity):
             raise GameError(f"resource {self.id!r} capacity must be a nonnegative integer")
+        if self.capacity >= 2 ** 63:  # ``TsgFixer`` holds capacities as int64
+            raise GameError(f"resource {self.id!r} capacity {self.capacity} is past the int64 range")
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,8 @@ class TeamSpec:
     effectiveness: float
 
     def __post_init__(self):
+        check_ids("team", self.id)
+        check_ids(f"team {self.id!r} member", *self.members)
         object.__setattr__(self, "members", tuple(sorted(self.members)))
         if not self.members:
             raise GameError(f"team {self.id!r} has no member resources")
@@ -50,6 +57,7 @@ class CategorySpec:
     u_undef: float
 
     def __post_init__(self):
+        check_ids("category", self.id)
         if isinstance(self.passengers, bool):
             raise GameError(f"category {self.id!r} passenger count {self.passengers!r} "
                             "is not an integer")
@@ -63,6 +71,9 @@ class CategorySpec:
 class RiskLevel:
     id: str
     probability: float
+
+    def __post_init__(self):
+        check_ids("risk level", self.id)
 
 
 @dataclass(frozen=True)

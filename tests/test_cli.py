@@ -113,6 +113,18 @@ class TestSolveCommand:
         assert report["detection_ratio"] is not None
         assert report["c_measured"] == pytest.approx(1.0 / report["detection_ratio"])
 
+    def test_int_payoff_past_int64_solves_as_its_float(self, tmp_path, fig1b_fams):
+        # NumPy stores such an int next to floats as dtype=object, which the
+        # column generation could not cast; a target holds its payoffs as floats
+        values = []
+        for name, u_def in (("int", 10 ** 20), ("float", 1e20)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            path.write_text(json.dumps(_with_flight(fig1b_fams, u_def=u_def)))
+            assert main(["solve", "--instance", str(path), "--method", "cg",
+                         "--out", str(out)]) == 0
+            values.append(json.loads(out.read_text())["value"])
+        assert values[0] == values[1]
+
     def test_same_seed_same_report(self, tsg_file, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -362,6 +374,23 @@ def _with_flight(fig1b_fams, **changes):
     return data
 
 
+def _tsg_id(fig1c_tsg, group, value):
+    """The screening toy with the id of the first of its ``group`` replaced."""
+    data = tsg_to_json(fig1c_tsg)
+    data[group][0]["id"] = value
+    return data
+
+
+def _game_target_id(fig1b_fams, value):
+    """The encoded air-marshal toy with its first target renamed, in its
+    adversary type too."""
+    data = game_to_json(encode_fams(fig1b_fams))
+    old, data["targets"][0]["id"] = data["targets"][0]["id"], value
+    for a in data["adversary_types"]:
+        a["targets"] = [value if t == old else t for t in a["targets"]]
+    return data
+
+
 @pytest.mark.parametrize("make, code, message", [
     (lambda f, t: _fams_data(f, marshals=2.5), 3, "marshal count 2.5 is not an integer"),
     (lambda f, t: _fams_data(f, marshals=10 ** 12), 3, "exceed the 134217728 cell cap"),
@@ -382,10 +411,30 @@ def _with_flight(fig1b_fams, **changes):
      "category 'c_r1_f1' passenger count True is not an integer"),
     (lambda f, t: _tsg_category(t, capacity=True), 3,
      "resource 'xray' capacity must be a nonnegative integer"),
+    (lambda f, t: _fams_data(f, flights=[*fams_to_json(f)["flights"],
+                                         {"id": 0, "u_def": -1.0, "u_undef": -2.0}]), 3,
+     "flight id 0 is not a string"),
+    (lambda f, t: _tsg_id(t, "teams", 1), 3, "team id 1 is not a string"),
+    (lambda f, t: _tsg_id(t, "categories", True), 3, "category id True is not a string"),
+    (lambda f, t: _tsg_id(t, "teams", None), 3, "team id None is not a string"),
+    (lambda f, t: _game_target_id(f, 0), 3, "target id 0 is not a string"),
+    (lambda f, t: _with_flight(f, u_def=10 ** 400), 3, "has a payoff past the float range"),
+    (lambda f, t: _tsg_category(t, capacity=float("inf")), 3,
+     "resource 'xray' capacity must be a nonnegative integer"),
+    (lambda f, t: {**_tsg_category(t), "resources": [*tsg_to_json(t)["resources"],
+                                                      {"id": "spare", "capacity": 10 ** 20}]}, 3,
+     "resource 'spare' capacity 100000000000000000000 is past the int64 range"),
+    (lambda f, t: {**game_to_json(encode_fams(f)), "constraints": ["x"]}, 2,
+     "constraint 'x' is not a JSON object"),
+    (lambda f, t: {**game_to_json(encode_fams(f)), "constraints": [0]}, 2,
+     "constraint 0 is not a JSON object"),
 ], ids=["fractional-marshals", "huge-marshals", "tsg-passengers-past-int64",
         "game-bound-past-int64", "list", "string", "nan-payoff", "string-marshals",
         "boolean-marshals", "unknown-flight", "boolean-game-k", "fractional-game-n",
-        "boolean-passengers", "boolean-capacity"])
+        "boolean-passengers", "boolean-capacity", "number-flight-id", "number-team-id",
+        "boolean-category-id", "null-team-id", "number-target-id", "payoff-past-float",
+        "infinite-capacity", "unused-capacity-past-int64", "string-constraint",
+        "number-constraint"])
 def test_malformed_instance_is_one_error_line(tmp_path, capsys, fig1b_fams, fig1c_tsg,
                                               make, code, message):
     """Every malformed instance ends in exit code 2 (parse) or 3 (solver)

@@ -21,7 +21,7 @@ from ara.generators import GenConfig, gen_fams
 from ara.lp import solve_lp
 from ara.marginal import solve_marginal
 from ara.sampling import _CombSampler, to_pe0
-from conftest import constraint_sum, coverage, random_toy_fams, violations, with_random_forbidden
+from conftest import coverage, random_toy_fams, violations, with_random_forbidden
 
 
 class TestEncode:
@@ -70,14 +70,14 @@ def _pe0_for(inst):
     return game, to_pe0(game)
 
 
-def loop_fix_inequalities(x, pe0, rng):
-    """Column-by-column reference for FamsFixer.fix_inequalities."""
-    game, n = pe0.source_game, pe0.source_cols
+def loop_fix_inequalities(x, game, rng):
+    """Column-by-column reference for FamsFixer.fix_inequalities on a
+    marshals x schedules matrix of ``game``."""
     ids = [t.id for t in game.targets]
     flight_cols = [sorted({j for _, j in t.cells.tolist()}) for t in game.targets]
     x = x.copy()
     while True:
-        col_tot = x[:, :n].sum(axis=0)
+        col_tot = x.sum(axis=0)
         cov = [sum(col_tot[j] for j in cols) for cols in flight_cols]
         violated = [fi for fi, c in enumerate(cov) if c > 1]
         if not violated:
@@ -136,14 +136,33 @@ class TestInstanceIndexes:
         assert [s.id for s in inst.schedules] == sorted(tables.col, key=tables.col.get)
 
 
+def _seat(k, n, cols):
+    """A marshals x schedules matrix with marshal i on schedule cols[i],
+    or on none where cols[i] == n: the slack column the sampler drops."""
+    x = np.zeros((k, n), dtype=np.int64)
+    seated = cols < n
+    x[np.flatnonzero(seated), cols[seated]] = 1
+    return x
+
+
 class TestFixer:
+    """The fixers repair matrices of the source game, marshals x schedules,
+    as ``_sample_with_stats`` hands them over with the slack column dropped."""
+
     def test_no_violation_is_identity(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)
-        x = np.zeros((3, 4), dtype=np.int64)
+        x = np.zeros((3, 3), dtype=np.int64)
         x[0, 0] = 1
-        x[:, 3] = [0, 1, 1]
         out = FamsFixer(fig1b_fams).fix_inequalities(x, pe0, np.random.default_rng(0))
-        assert np.array_equal(out, x)
+        assert out is x  # nothing to repair, so nothing is copied
+        assert FamsFixer(fig1b_fams).fix_equalities(x, pe0, np.random.default_rng(0)) is x
+
+    def test_pe0_width_matrix_is_refused(self, fig1b_fams):
+        _, pe0 = _pe0_for(fig1b_fams)
+        x = np.zeros((3, 4), dtype=np.int64)
+        x[:, 3] = 1
+        with pytest.raises(GameError, match=r"sample shape \(3, 4\) is not 3 marshals x 3 "):
+            FamsFixer(fig1b_fams).fix_inequalities(x, pe0, np.random.default_rng(0))
 
     def test_two_schedules_on_one_flight(self):
         # schedules s0 and s1 both fly f0; both allocated -> one gets zeroed
@@ -152,11 +171,9 @@ class TestFixer:
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f0"}))),
             (FlightSpec("f0", -1.0, -4.0),))
         game, pe0 = _pe0_for(inst)
-        x = np.zeros((2, 3), dtype=np.int64)
-        x[0, 0] = 1
-        x[1, 1] = 1
+        x = np.eye(2, dtype=np.int64)
         out = FamsFixer(inst).fix_inequalities(x, pe0, np.random.default_rng(1))
-        assert coverage(game, out[:, :2], "f0") == 1.0
+        assert coverage(game, out, "f0") == 1.0
 
     def test_priority_prefers_pure_violators(self):
         # s0 holds two violated flights and nothing satisfied; s1 holds one
@@ -169,18 +186,15 @@ class TestFixer:
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0),
              FlightSpec("f2", -1.0, -4.0)))
         game, pe0 = _pe0_for(inst)
-        x = np.zeros((3, 4), dtype=np.int64)
-        x[0, 0] = 1  # s0: f0, f1
-        x[1, 1] = 1  # s1: f0, f2
-        x[2, 2] = 1  # s2: f1, f2
+        x = np.eye(3, dtype=np.int64)  # marshal i on s_i; s0: f0, f1; s1: f0, f2; s2: f1, f2
         # f0, f1, f2 all have coverage 2: every schedule contains only
         # violated flights; s0 ties with s1 and s2 at two violated flights,
         # lowest schedule id wins, then the rest settle without random picks
         out = FamsFixer(inst).fix_inequalities(x, pe0, np.random.default_rng(2))
         assert out[:, 0].sum() == 0
-        assert violations(game, out[:, :3]) == []
+        assert violations(game, out) == []
         for f in ("f0", "f1", "f2"):
-            assert coverage(game, out[:, :3], f) <= 1.0
+            assert coverage(game, out, f) <= 1.0
 
     def test_random_drop_when_no_schedule_is_clean(self):
         # s0 and s1 both fly the violated f0, and each also flies a flight
@@ -191,15 +205,13 @@ class TestFixer:
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0),
              FlightSpec("f2", -1.0, -4.0)))
         game, pe0 = _pe0_for(inst)
-        x = np.zeros((2, 3), dtype=np.int64)
-        x[0, 0] = 1
-        x[1, 1] = 1
+        x = np.eye(2, dtype=np.int64)
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
         out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
         dropped = int(twin.integers(2))
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert out[:, :2].sum(axis=0).tolist() == [int(dropped != 0), int(dropped != 1)]
-        assert coverage(game, out[:, :2], "f0") == 1.0
+        assert out.sum(axis=0).tolist() == [int(dropped != 0), int(dropped != 1)]
+        assert coverage(game, out, "f0") == 1.0
 
     def test_random_drops_go_to_the_lowest_flight_id_first(self):
         # "fb" (on s0, s1) and "fa" (on s2, s3, s4) are over-covered and every
@@ -213,8 +225,7 @@ class TestFixer:
                   for f, cols in groups.items() for j in cols),
             tuple(FlightSpec(f, -1.0, -4.0) for f in (*groups, *(f"x{j}" for j in range(5)))))
         _, pe0 = _pe0_for(inst)
-        x = np.zeros((5, 6), dtype=np.int64)
-        x[np.arange(5), np.arange(5)] = 1
+        x = np.eye(5, dtype=np.int64)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
         expected = x.copy()
@@ -233,7 +244,7 @@ class TestFixer:
             twin = np.random.default_rng()
             twin.bit_generator.state = rng.bit_generator.state
             out = fixer.fix_inequalities(x, pe0, rng)
-            assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
+            assert np.array_equal(out, loop_fix_inequalities(x, pe0.source_game, twin))
             assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(20))
@@ -241,15 +252,14 @@ class TestFixer:
         rng = np.random.default_rng(700 + seed)
         inst = random_toy_fams(rng)
         game, pe0 = _pe0_for(inst)
-        n = len(inst.schedules)
+        k, n = inst.num_marshals, len(inst.schedules)
         for _ in range(10):
-            x = np.zeros((inst.num_marshals, n + 1), dtype=np.int64)
-            x[np.arange(inst.num_marshals), rng.integers(0, n + 1, size=inst.num_marshals)] = 1
+            x = _seat(k, n, rng.integers(0, n + 1, size=k))
             state = rng.bit_generator.state
             out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
             twin = np.random.default_rng()
             twin.bit_generator.state = state
-            assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
+            assert np.array_equal(out, loop_fix_inequalities(x, game, twin))
             assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(10))
@@ -258,9 +268,7 @@ class TestFixer:
         inst = with_random_forbidden(random_toy_fams(rng), rng)
         _, pe0 = _pe0_for(inst)
         k, n = inst.num_marshals, len(inst.schedules)
-        xs = np.zeros((10, k, n + 1), dtype=np.int64)
-        for x in xs:
-            x[np.arange(k), rng.integers(0, n + 1, size=k)] = 1
+        xs = [_seat(k, n, rng.integers(0, n + 1, size=k)) for _ in range(10)]
         self.assert_matches_loop_reference(FamsFixer(inst), pe0, xs, rng)
 
     def test_matches_loop_reference_at_benchmark_shape(self):
@@ -281,13 +289,13 @@ class TestFixer:
         rng = np.random.default_rng(12)
         decrements = draws = 0
         for _ in range(200):
-            x = sampler.sample(rng)
+            x = sampler.sample(rng)[:, :pe0.source_cols]
             state = rng.bit_generator.state
             counting = CountingRng(rng)
             out = FamsFixer(inst).fix_inequalities(x, pe0, counting)
             twin = np.random.default_rng()
             twin.bit_generator.state = state
-            assert np.array_equal(out, loop_fix_inequalities(x, pe0, twin))
+            assert np.array_equal(out, loop_fix_inequalities(x, pe0.source_game, twin))
             assert rng.bit_generator.state == twin.bit_generator.state
             decrements += int(x.sum() - out.sum())
             draws += counting.draws
@@ -302,7 +310,7 @@ class TestFixer:
         _, pe0 = _pe0_for(inst)
         sampler = _CombSampler(pe0, solve_marginal(pe0.game).x_m.values)
         rng = np.random.default_rng(21)
-        xs = [sampler.sample(rng) for _ in range(40)]
+        xs = [sampler.sample(rng)[:, :pe0.source_cols] for _ in range(40)]
         fixer = FamsFixer(inst)
         self.assert_matches_loop_reference(fixer, pe0, xs, rng)
         # every sample needed repair
@@ -318,7 +326,7 @@ class TestFixer:
         k, n = inst.num_marshals, len(inst.schedules)
         xs = []
         for _ in range(10):
-            x = np.zeros((k, n + 1), dtype=np.int64)
+            x = np.zeros((k, n), dtype=np.int64)
             x[:, rng.integers(n)] = 1  # every marshal on one schedule
             x[rng.integers(k), rng.integers(n)] += 1
             x[rng.integers(k), rng.integers(n)] = 2
@@ -333,26 +341,26 @@ class TestFixer:
             (Schedule("s0", frozenset({"f0"})), Schedule("s1", frozenset({"f1"}))),
             (FlightSpec("f0", -1.0, -4.0), FlightSpec("f1", -1.0, -4.0)))
         _, pe0 = _pe0_for(inst)
-        x = np.array([[0, 1, 0], [1, 0, 0], [1, 0, 0]])
+        x = np.array([[0, 1], [1, 0], [1, 0]])
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         out = FamsFixer(inst).fix_inequalities(x, pe0, rng)
-        assert out.tolist() == [[0, 1, 0], [0, 0, 0], [1, 0, 0]]
+        assert out.tolist() == [[0, 1], [0, 0], [1, 0]]
         assert rng.bit_generator.state == state
 
-    def test_slack_absorbs_freed_marshals(self, fig1b_fams):
+    def test_freed_marshal_row_is_left_empty(self, fig1b_fams):
         game, pe0 = _pe0_for(fig1b_fams)
-        x = np.zeros((3, 4), dtype=np.int64)
+        x = np.zeros((3, 3), dtype=np.int64)
         x[0, 0] = 1  # s1 -> f1
         x[1, 1] = 1  # s2 -> f1, f2  (f1 now violated)
-        x[2, 3] = 1  # slack
         fixer = FamsFixer(fig1b_fams)
         mid = fixer.fix_inequalities(x, pe0, np.random.default_rng(3))
         out = fixer.fix_equalities(mid, pe0, np.random.default_rng(3))
-        assert np.all(out >= mid)
-        for con in pe0.equality_partition:
-            assert constraint_sum(con, out) == con.lower
-        assert violations(game, out[:, :3]) == []
+        assert out is mid
+        # the repair worked on a copy, so ``x`` still seats both marshals
+        freed = np.flatnonzero(x.sum(axis=1) > out.sum(axis=1))
+        assert len(freed) == 1 and not out[freed[0]].any()
+        assert violations(game, out) == []
 
 
 class TestDbr:

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every private
 top-level function or class is used somewhere in the package, every
 exported function is called from another module of the package, no
-module imports scipy, the generic modules import no domain module, and no
-module raises a bare built-in exception.
+module imports scipy, the generic modules import no domain module, no
+module raises a bare built-in exception, and no domain function reads its
+``pe0`` argument.
 
 No linter runs on this repository, so this walks the syntax trees instead.
 ``__init__.py`` is left out of the import check: it imports names to
@@ -216,3 +217,34 @@ def test_checker_sees_builtin_raises():
               "    try:\n        g()\n    except KeyError:\n        raise\n"
               "    raise TypeError\n\nraise GameError('named')\nraise lib.KeyError()\n")
     assert builtin_raises(source) == ["ValueError (line 3)", "TypeError (line 8)"]
+
+
+def pe0_readers(source: str) -> list[str]:
+    """The functions in ``source`` that take a ``pe0`` argument and read it
+    anywhere in their body, nested functions and lambdas included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if "pe0" in {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)}:
+                body = node.body if isinstance(node.body, list) else [node.body]
+                if any(isinstance(n, ast.Name) and n.id == "pe0"
+                       for stmt in body for n in ast.walk(stmt)):
+                    found.append(f"{getattr(node, 'name', 'lambda')} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("name", ("fams", "tsg"))
+def test_domain_fixers_do_not_read_pe0(name):
+    # the PE0 slack column belongs to ara.sampling, which drops it before a
+    # fixer runs; a fixer that reads ``pe0`` would learn of it again
+    assert pe0_readers((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def test_checker_sees_pe0_readers():
+    source = ("def reads(x, pe0, rng):\n    return x[:, :pe0.source_cols]\n\n"
+              "def ignores(x, pe0: 'Pe0Form', rng):\n    return x\n\n"
+              "class Fixer:\n    def nested(self, x, pe0):\n"
+              "        return [lambda: pe0 for _ in x]\n\n"
+              "def other(x):\n    return pe0\n")
+    assert pe0_readers(source) == ["reads (line 1)", "nested (line 8)"]

@@ -346,7 +346,7 @@ class TestSamplePure:
                 out = super().fix_equalities(x, pe0, rng)
                 if len(repaired) == 2:
                     out[0, 0] += 2
-                repaired.append(out[:, :pe0.source_cols])
+                repaired.append(out)  # source width: the sampler dropped the slack
                 return out
 
         with pytest.raises(GameError, match="invalid strategy") as err:
