@@ -24,7 +24,7 @@ import numpy as np
 
 from ara.core import (MAX_CELLS, AraGame, AssignmentConstraint, GameError, PureStrategy, Target,
                       check_ids)
-from ara.exact import MaximinSolution, exact_maximin, maximin_lp
+from ara.exact import MaximinSolution, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
 
@@ -87,8 +87,8 @@ class FamsInstance:
         if self.num_marshals * len(self.schedules) > MAX_CELLS:
             raise GameError(f"{self.num_marshals} marshals x {len(self.schedules)} schedules "
                             f"exceed the {MAX_CELLS} cell cap")
-        sched_ids = [s.id for s in self.schedules]
-        if len(set(sched_ids)) != len(sched_ids):
+        sched_ids = {s.id for s in self.schedules}
+        if len(sched_ids) != len(self.schedules):
             raise GameError("duplicate schedule ids")
         flight_ids = {f.id for f in self.flights}
         if len(flight_ids) != len(self.flights):
@@ -98,6 +98,9 @@ class FamsInstance:
             if unknown:
                 raise GameError(f"schedule {s.id!r} references unknown flight {sorted(unknown)[0]!r}")
         for m, sid in self.forbidden:
+            if isinstance(m, bool) or not isinstance(m, Integral):
+                raise GameError(f"forbidden pair ({m!r}, {sid!r}) names a marshal that is not "
+                                "an integer")
             if not 0 <= m < self.num_marshals or sid not in sched_ids:
                 raise GameError(f"forbidden pair ({m}, {sid!r}) references unknown marshal or schedule")
 
@@ -379,9 +382,12 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
     phase 2 from the last basis (see ``ara.lp``).  Where the master has tied
     optima, a warm solve may pick another optimal vertex than a cold one,
     and with it other duals, columns and iteration counts; the value is
-    the same.  The value and weights returned are those of one cold
-    ``exact_maximin`` over the generated columns, which must agree with the
-    last warm value to 1e-9.
+    the same.  Each column's flight coverage is counted once, when it is
+    priced, and kept in one dict keyed by its bytes, which is also the
+    duplicate check.  The value and weights returned come from one cold
+    solve of ``maximin_lp`` over those coverages, in column order: the
+    value must agree with the last warm value to 1e-9, and the weights are
+    clipped at zero and normalized, as the enumeration oracle's are.
     """
     game = encode_fams(inst)
     start = time.monotonic()
@@ -395,7 +401,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
     empty = PureStrategy(np.zeros((tables.k, tables.n), dtype=np.int64))
     columns = [empty]
     cov = np.zeros(mix_row)
-    seen = {cov.tobytes()}
+    covs = {cov.tobytes(): cov}  # each column's flight coverage, in column order
     master = maximin_lp(game, cov[None])
     state = None
 
@@ -415,20 +421,25 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
         masses = y * delta
         col_mass = np.bincount(col_of, weights=masses[flight_of], minlength=tables.n)
         column = fams_dbr(tables, col_mass, sum(masses.tolist()))
-        # each flight's marshals, summed over the schedules flying it: small
-        # integers, so the same floats as ``compiled.coverages(column)``
+        # each flight's marshals, summed over the schedules flying it.  A
+        # flight is a unit-weight target over every cell of its schedules
+        # (``encode_fams``), so ``compiled.coverages(column)`` sums the same
+        # small integers, and both are exact in any order
         cov = np.bincount(flight_of, weights=column.values.sum(axis=0)[col_of], minlength=mix_row)
         util = u_undef + cov * delta
         slave_value = sum((y * util).tolist())
         # a priced column already present means numerical convergence
-        if slave_value <= mu + CG_TOL or cov.tobytes() in seen:
-            final = exact_maximin(game, columns)
-            if abs(final.value - sol.objective_value) > 1e-9:
+        if slave_value <= mu + CG_TOL or cov.tobytes() in covs:
+            cold = solve_lp(maximin_lp(game, np.array(list(covs.values()))))
+            if cold.status != "optimal":
+                raise GameError(f"column-generation cold solve ended {cold.status}")
+            if abs(cold.objective_value - sol.objective_value) > 1e-9:
                 raise GameError(f"column-generation master value {sol.objective_value} "
-                                f"disagrees with the cold solve {final.value}")
-            return CgResult(final.value, final.weights, final.strategies, it)
+                                f"disagrees with the cold solve {cold.objective_value}")
+            weights = np.maximum(cold.values[:len(columns)], 0.0)
+            return CgResult(cold.objective_value, weights / weights.sum(), tuple(columns), it)
         columns.append(column)
-        seen.add(cov.tobytes())
+        covs[cov.tobytes()] = cov
         coeffs = {t: -u for t, u in enumerate(util.tolist()) if u != 0.0}
         coeffs[mix_row] = 1.0
         master.add_column(coeffs, 0.0)

@@ -69,13 +69,13 @@ class Pe0Form:
     """A game whose equality constraints partition the allocation matrix.
 
     ``game`` may carry one extra slack column relative to ``source_game``;
-    ``source_cols`` is the width of every matrix a domain fixer sees.
+    ``source_cols``, read from ``source_game``, is the width of every matrix
+    a domain fixer sees.
     """
 
     game: AraGame
     equality_partition: tuple[AssignmentConstraint, ...]
     source_game: AraGame
-    source_cols: int
 
     def __post_init__(self):
         k, n = self.game.k, self.game.n
@@ -89,6 +89,10 @@ class Pe0Form:
             cell = int(np.argmax(count != 1))
             problem = "overlap at" if count[cell] else "do not cover"
             raise Pe0StructureError(f"equalities {problem} cell {divmod(cell, n)}")
+
+    @property
+    def source_cols(self) -> int:
+        return self.source_game.n
 
 
 def to_pe0(game: AraGame) -> Pe0Form:
@@ -110,7 +114,7 @@ def to_pe0(game: AraGame) -> Pe0Form:
                                     "only 0 or equality bounds are supported")
 
     if eqs:  # Pe0Form checks that they partition the matrix
-        return Pe0Form(game, tuple(eqs), game, game.n)
+        return Pe0Form(game, tuple(eqs), game)
 
     cons, budget = game.constraints, game.compiled.row_budget.tolist()
     if -1 in budget:
@@ -126,7 +130,7 @@ def to_pe0(game: AraGame) -> Pe0Form:
                        for i, b in enumerate(budget))
     ext = AraGame(game.k, n_ext, equalities + others, game.targets,
                   game.adversary_types, validate_weights=False)
-    return Pe0Form(ext, equalities, game, game.n)
+    return Pe0Form(ext, equalities, game)
 
 
 class _CombSampler:

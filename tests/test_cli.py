@@ -428,13 +428,17 @@ def _game_target_id(fig1b_fams, value):
      "constraint 'x' is not a JSON object"),
     (lambda f, t: {**game_to_json(encode_fams(f)), "constraints": [0]}, 2,
      "constraint 0 is not a JSON object"),
+    (lambda f, t: _fams_data(f, forbidden=[[True, "s1"]]), 3,
+     "forbidden pair (True, 's1') names a marshal that is not an integer"),
+    (lambda f, t: _fams_data(f, forbidden=[[1.5, "s1"]]), 3,
+     "forbidden pair (1.5, 's1') names a marshal that is not an integer"),
 ], ids=["fractional-marshals", "huge-marshals", "tsg-passengers-past-int64",
         "game-bound-past-int64", "list", "string", "nan-payoff", "string-marshals",
         "boolean-marshals", "unknown-flight", "boolean-game-k", "fractional-game-n",
         "boolean-passengers", "boolean-capacity", "number-flight-id", "number-team-id",
         "boolean-category-id", "null-team-id", "number-target-id", "payoff-past-float",
         "infinite-capacity", "unused-capacity-past-int64", "string-constraint",
-        "number-constraint"])
+        "number-constraint", "boolean-forbidden-marshal", "fractional-forbidden-marshal"])
 def test_malformed_instance_is_one_error_line(tmp_path, capsys, fig1b_fams, fig1c_tsg,
                                               make, code, message):
     """Every malformed instance ends in exit code 2 (parse) or 3 (solver)

@@ -1,12 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ara import exact as exact_mod
 from ara import fams
-from ara.core import GameError, game_value
-from ara.exact import MaximinSolution, enumerate_pure, exact_maximin
+from ara.core import CompiledGame, GameError, game_value
+from ara.exact import enumerate_pure, exact_maximin
 from ara.fams import (
     DbrNodeCapError,
     FamsFixer,
@@ -521,15 +522,26 @@ class TestColumnGeneration:
         assert np.array_equal(exact.weights, cg.weights)
 
     def test_warm_master_must_match_the_cold_solve(self, fig1b_fams, monkeypatch):
-        real = fams.exact_maximin
-
-        def shifted(game, strategies):
-            sol = real(game, strategies)
-            return MaximinSolution(sol.value + 1e-8, sol.weights, sol.strategies)
-
-        monkeypatch.setattr(fams, "exact_maximin", shifted)
+        _perturb_cold_solve(monkeypatch, lambda sol: replace(
+            sol, objective_value=sol.objective_value + 1e-8))
         with pytest.raises(GameError, match="disagrees with the cold solve"):
             _cg(fig1b_fams)
+
+    def test_cold_solve_must_be_optimal(self, fig1b_fams, monkeypatch):
+        _perturb_cold_solve(monkeypatch, lambda sol: replace(sol, status="unbounded"))
+        with pytest.raises(GameError, match="cold solve ended unbounded"):
+            _cg(fig1b_fams)
+
+    def test_solve_counts_coverage_once(self, fig1b_fams, monkeypatch):
+        # the priced columns' coverages feed the cold re-solve directly
+        def refused(*args, **kwargs):
+            raise AssertionError("column generation took a second coverage count")
+
+        monkeypatch.setattr(CompiledGame, "coverages", refused)
+        monkeypatch.setattr(fams, "exact_maximin", refused, raising=False)
+        cg = _cg(fig1b_fams)
+        assert cg.iterations > 1
+        assert len(cg.weights) == len(cg.strategies)
 
     def test_mixed_strategy_is_consistent(self, fig1b_fams):
         cg = _cg(fig1b_fams)
@@ -591,11 +603,12 @@ class TestSeededColumnGeneration:
 
         monkeypatch.setattr(fams, "solve_lp", kept)
         cg = _cg(inst)
+        master = masters[0]  # every warm solve passes this one program
         compiled = encode_fams(inst).compiled
         u_undef = compiled.payoff_undefended
         util = u_undef + compiled.coverages(np.stack([s.values for s in cg.strategies])) * (
             compiled.payoff_defended - u_undef)
-        rows, var, coeff = masters[-1].entries
+        rows, var, coeff = master.entries
         mix_row = len(u_undef)
         # variables: the empty allocation, the type's z, then the priced columns
         for j, u in enumerate(util[1:], start=2):
@@ -606,12 +619,25 @@ class TestSeededColumnGeneration:
             got = np.zeros(mix_row + 1)
             got[rows[mine]] = coeff[mine]
             assert got.tobytes() == expected.tobytes()
-        assert masters[-1].num_vars == len(cg.strategies) + 1
+        assert master.num_vars == len(cg.strategies) + 1
 
 
 def _cg(inst):
     """Column generation with no time cutoff."""
     return fams.fams_column_generation(inst, cutoff_s=np.inf)
+
+
+def _perturb_cold_solve(monkeypatch, perturb):
+    """Pass column generation's cold re-solve through ``perturb``: every
+    warm solve passes the first program solved, the master."""
+    masters = []
+
+    def solve(prog, **kwargs):
+        masters.append(prog)
+        sol = solve_lp(prog, **kwargs)
+        return sol if prog is masters[0] else perturb(sol)
+
+    monkeypatch.setattr(fams, "solve_lp", solve)
 
 
 def _dbr(inst, w):

@@ -111,7 +111,7 @@ def one_group_sampler(x, con=None):
         total = int(round(x.sum()))
         con = AssignmentConstraint([(0, j) for j in range(x.shape[1])], total, total)
     game = AraGame(*x.shape, (con,), (), validate_weights=False)
-    return _CombSampler(Pe0Form(game, (con,), game, x.shape[1]), x)
+    return _CombSampler(Pe0Form(game, (con,), game), x)
 
 
 class TestCombSample:
@@ -187,7 +187,7 @@ def random_partition(rng):
         groups.append(AssignmentConstraint(cells, total, total,
                                            label=f"group {len(groups)}"))
     game = AraGame(k, n, tuple(groups), (), validate_weights=False)
-    return Pe0Form(game, tuple(groups), game, n), x
+    return Pe0Form(game, tuple(groups), game), x
 
 
 class TestCombSampler:
@@ -209,7 +209,7 @@ class TestCombSampler:
     def test_non_integral_mass_fails_at_construction(self):
         con = AssignmentConstraint([(0, 0), (0, 1)], 1, 1, label="row")
         game = AraGame(1, 2, (con,), (), validate_weights=False)
-        pe0 = Pe0Form(game, (con,), game, 2)
+        pe0 = Pe0Form(game, (con,), game)
         with pytest.raises(GameError, match="not integral"):
             _CombSampler(pe0, np.array([[0.4, 0.3]]))
 
@@ -219,7 +219,7 @@ class TestCombSampler:
                   AssignmentConstraint([(1, 0), (1, 1), (0, 2)], 1, 1, label="b"),
                   AssignmentConstraint([(0, 1)], 1, 1, label="c"))
         game = AraGame(2, 3, groups, (), validate_weights=False)
-        pe0 = Pe0Form(game, groups, game, 3)
+        pe0 = Pe0Form(game, groups, game)
         x = np.array([[0.5, 0.5, 0.25], [0.25, 0.25, 0.5]])
         with pytest.raises(GameError, match=r"fractional mass 0\.75 is not integral"):
             _CombSampler(pe0, x)
