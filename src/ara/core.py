@@ -452,10 +452,32 @@ class MarginalStrategy:
         object.__setattr__(self, "values", arr)
 
 
+# the dtypes ``narrowest_int`` may store a matrix in, narrowest first
+_NARROW_INTS = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32))
+
+
+def narrowest_int(x: np.ndarray) -> np.ndarray:
+    """The integer matrix ``x`` in the narrowest of int8, int16 and int32
+    that holds both its smallest and its largest cell, so no cell wraps and
+    a negative one stays negative; ``x`` as it is when none holds them."""
+    if x.size:
+        lo, hi = int(x.min()), int(x.max())
+        for info in _NARROW_INTS:
+            if info.min <= lo and hi <= info.max:
+                return x.astype(info.dtype)
+    return x
+
+
 @dataclass(frozen=True)
 class PureStrategy:
     """Integral, nonnegative allocation; ``CompiledGame.violations`` checks
-    it against a game's constraints."""
+    it against a game's constraints.
+
+    It keeps the integer dtype it is given, so a stored sample may be int8
+    (``narrowest_int``); other dtypes are rounded into int64.  A caller
+    widens before arithmetic whose result can leave that dtype's range:
+    ``np.sum`` and mixed-dtype operations widen by themselves, but ``+``
+    between two int8 matrices and Python's ``sum`` over them do not."""
 
     values: np.ndarray
 
@@ -476,7 +498,9 @@ class PureStrategy:
 
 @dataclass(frozen=True)
 class MixedStrategyEstimate:
-    """Sampled pure strategies and their cell-wise mean."""
+    """Sampled pure strategies and their cell-wise mean, summed into one
+    int64 accumulator: the samples may be stored narrow, and their own sums
+    would wrap."""
 
     samples: tuple[PureStrategy, ...]
     mean: np.ndarray = field(init=False)
@@ -486,8 +510,15 @@ class MixedStrategyEstimate:
         if not samples:
             raise GameError("estimate needs at least one sample")
         # summed without stacking the samples; the integer sums are exact, so
-        # this equals the mean of the stacked samples bit for bit
-        mean = sum(s.values for s in samples) / len(samples)
+        # this equals the mean of the stacked samples bit for bit.  The add
+        # runs in int64 whatever the samples' dtype (uint64 would otherwise
+        # promote to float64)
+        total = np.zeros(samples[0].values.shape, dtype=np.int64)
+        for s in samples:
+            if s.values.shape != total.shape:
+                raise GameError(f"estimate samples have shapes {total.shape} and {s.values.shape}")
+            np.add(total, s.values, out=total, dtype=np.int64)
+        mean = total / len(samples)
         mean.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "mean", mean)

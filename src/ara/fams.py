@@ -16,14 +16,14 @@ they need of an instance from one ``FamsTables``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from numbers import Integral
 
 import numpy as np
 
 from ara.core import (MAX_CELLS, AraGame, AssignmentConstraint, GameError, PureStrategy, Target,
-                      check_ids)
+                      check_ids, narrowest_int)
 from ara.exact import MaximinSolution, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
@@ -105,7 +105,16 @@ class FamsInstance:
                 raise GameError(f"forbidden pair ({m}, {sid!r}) references unknown marshal or schedule")
 
 
-def encode_fams(inst: FamsInstance) -> AraGame:
+@dataclass(frozen=True)
+class FamsGame(AraGame):
+    """The game ``encode_fams`` builds, with the instance's ``FamsTables``
+    it was built from: a solve reads them from here, so that it builds
+    them once."""
+
+    tables: FamsTables = field(kw_only=True, compare=False, repr=False)
+
+
+def encode_fams(inst: FamsInstance) -> FamsGame:
     """Rows are marshals, columns schedules.  Each marshal gets a unit row
     budget, forbidden pairs pin cells to zero, and each flight becomes a
     unit-weight target over every cell of every schedule containing it,
@@ -124,7 +133,7 @@ def encode_fams(inst: FamsInstance) -> AraGame:
         if len(cells):
             constraints.append(AssignmentConstraint(cells, 0, 1, label=f"flight {f.id}"))
         targets.append(Target(f.id, cells, np.ones(len(cells)), f.u_def, f.u_undef))
-    return AraGame(k, n, tuple(constraints), tuple(targets))
+    return FamsGame(k, n, tuple(constraints), tuple(targets), tables=tables)
 
 
 class FamsFixer:
@@ -160,13 +169,14 @@ class FamsFixer:
     ``rng.integers`` over that flight's allocated schedules in column order;
     the marshal taken off is the lowest row.
 
-    Reads the instance's ``FamsTables``, built once: each schedule's flight
-    mask (``masks``) and flights in flight order (``flights_of``), and each
+    Reads the instance's ``FamsTables``, built once or passed in as
+    ``tables`` (``FamsGame.tables``): each schedule's flight mask
+    (``masks``) and flights in flight order (``flights_of``), and each
     flight's rank in id order (``rank``).  The fixer keeps no state between
     calls."""
 
-    def __init__(self, inst: FamsInstance):
-        self.tables = FamsTables(inst)
+    def __init__(self, inst: FamsInstance, tables: "FamsTables | None" = None):
+        self.tables = FamsTables(inst) if tables is None else tables
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         masks, flights_of, rank = self.tables.masks, self.tables.flights_of, self.tables.rank
@@ -387,18 +397,19 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
     duplicate check.  The value and weights returned come from one cold
     solve of ``maximin_lp`` over those coverages, in column order: the
     value must agree with the last warm value to 1e-9, and the weights are
-    clipped at zero and normalized, as the enumeration oracle's are.
+    clipped at zero and normalized, as the enumeration oracle's are.  The
+    columns are stored narrow (``narrowest_int``), int8 for a FAMS column.
     """
     game = encode_fams(inst)
     start = time.monotonic()
     compiled = game.compiled  # targets are the flights, in flight order
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
-    tables = FamsTables(inst)
+    tables = game.tables
     flight_of, col_of = tables.flight_of, tables.col_of
     mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
-    empty = PureStrategy(np.zeros((tables.k, tables.n), dtype=np.int64))
+    empty = PureStrategy(narrowest_int(np.zeros((tables.k, tables.n), dtype=np.int64)))
     columns = [empty]
     cov = np.zeros(mix_row)
     covs = {cov.tobytes(): cov}  # each column's flight coverage, in column order
@@ -438,7 +449,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
                                 f"disagrees with the cold solve {cold.objective_value}")
             weights = np.maximum(cold.values[:len(columns)], 0.0)
             return CgResult(cold.objective_value, weights / weights.sum(), tuple(columns), it)
-        columns.append(column)
+        columns.append(PureStrategy(narrowest_int(column.values)))
         covs[cov.tobytes()] = cov
         coeffs = {t: -u for t, u in enumerate(util.tolist()) if u != 0.0}
         coeffs[mix_row] = 1.0

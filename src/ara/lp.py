@@ -25,13 +25,16 @@ that one row: every other term of the product is an exact zero, so
 costed basic rows on each swap.  The ratio test divides over the eligible
 rows only; in phase 2 a basic artificial that the entering column crosses
 leaves at ratio zero.  A per-row flag, cleared when the row's artificial
-leaves, says which rows hold one.  The elimination subtracts the outer
-product of the factors and the pivot row, built by ``np.einsum``: the same
-IEEE products as ``np.outer``, in about two thirds of its time at 201 x
-202, but added into a zero, so +0.0 where ``np.outer`` gave -0.0.  Its
-cost is (rows the entering column touches) x (stored columns): when fewer
-than half the rows are touched, only those rows are updated, and the whole
-tableau otherwise (``_SPARSE_SHARE``).  A row with a zero factor would be
+leaves, says which rows hold one, and the loop counts them: while none
+does (always in phase 1, which bans no column), the ratio test reads no
+flag and a tie goes to the lowest basis index, the row the flagged
+tie-break would pick.  The elimination subtracts the outer product of the factors
+and the pivot row, built by ``np.einsum``: the same IEEE products as
+``np.outer``, in about two thirds of its time at 201 x 202, but added into
+a zero, so +0.0 where ``np.outer`` gave -0.0.  Its cost is (rows the
+entering column touches) x (stored columns): when fewer than half the rows
+are touched, only those rows are updated, and the whole tableau otherwise
+(``_SPARSE_SHARE``).  A row with a zero factor would be
 left as it is either way, so both give the same tableau, up to the sign of
 a zero, which reaches no output.  Then the leaving variable's unit column,
 pivoted as the full tableau pivots it (0.0 - factor * (1 / pivot), and
@@ -65,7 +68,7 @@ value, other values and duals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +117,8 @@ class LinearProgram:
 
     The coefficients live only in ``entries``, in the order they came in:
     ``add_row``'s in its dict's order and ``add_column``'s by row, each
-    checked once on the way in.  ``rows`` holds relations, rhs and labels."""
+    checked once on the way in.  ``rows`` holds relations, rhs and labels,
+    and ``rhs_and_sense`` the same rhs and relations as arrays."""
 
     num_vars: int
     objective: np.ndarray = None
@@ -122,9 +126,12 @@ class LinearProgram:
     rows: list[LpRow] = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        # the entries added since ``entries`` was last read, as (row, var, coeff) lists
+        # the entries added since ``entries`` was last read, as (row, var, coeff)
+        # lists, and the rows' (rhs, sense) since ``rhs_and_sense`` was
         self._new = ([], [], [])
         self._entries = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        self._new_bounds = ([], [])
+        self._bounds = (np.zeros(0), np.zeros(0, np.int64))
         if self.objective is None:
             self.objective = np.zeros(self.num_vars)
         else:
@@ -137,10 +144,18 @@ class LinearProgram:
         """Every coefficient as (row, var, coeff) arrays, not to be written
         to.  A read extends them by the entries added since the last."""
         if self._new[0]:
-            self._entries = tuple(np.concatenate([old, np.array(new, old.dtype)])
-                                  for old, new in zip(self._entries, self._new))
+            self._entries = _extended(self._entries, self._new)
             self._new = ([], [], [])
         return self._entries
+
+    @property
+    def rhs_and_sense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's right-hand side and relation, the latter as in
+        ``_SENSE``, not to be written to; extended on read like ``entries``."""
+        if self._new_bounds[0]:
+            self._bounds = _extended(self._bounds, self._new_bounds)
+            self._new_bounds = ([], [])
+        return self._bounds
 
     def add_row(self, coeffs: dict[int, float], relation: str, rhs: float, label: str = "") -> None:
         if relation not in ("<=", "=", ">="):
@@ -154,6 +169,8 @@ class LinearProgram:
             raise LpError(f"row {label or i} has non-finite right-hand side {rhs}")
         self._add([i] * len(coeffs), list(coeffs), list(coeffs.values()), f"row {label or i}")
         self.rows.append(LpRow(relation, rhs, label))
+        self._new_bounds[0].append(rhs)
+        self._new_bounds[1].append(_SENSE[relation])
 
     def add_column(self, coeffs_by_row: dict[int, float], cost: float) -> int:
         """Append a variable x >= 0 with the given row coefficients and
@@ -174,6 +191,12 @@ class LinearProgram:
             raise LpError(f"{where} has non-finite coefficient")
         for new, part in zip(self._new, (rows, var, coeffs)):
             new.extend(part)
+
+
+def _extended(arrays: tuple, new: tuple) -> tuple:
+    """Each of ``arrays`` with the items of its list in ``new`` appended."""
+    return tuple(np.concatenate([old, np.array(items, old.dtype)])
+                 for old, items in zip(arrays, new))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +300,8 @@ def _tableau(lp: LinearProgram) -> LpState:
     nr, nv = len(lp.rows), lp.num_vars
     shift = np.array(lp.lower, dtype=float)
     e_row, e_var, e_val = lp.entries
-    b, sense = _rhs_and_sense(lp)
+    rhs, sense = lp.rhs_and_sense
+    b = rhs.copy()
     # ufunc.at subtracts in entry order, term by term, as a loop over each row would
     np.subtract.at(b, e_row, e_val * shift[e_var])
     flip = np.where(b < 0, -1.0, 1.0)
@@ -324,12 +348,10 @@ def _append_columns(s: LpState, lp: LinearProgram) -> LpState:
     a[e_row[new], e_var[new] - nv] = e_val[new]
     cols = _full_tableau(s)[:, s.marker] @ (s.flip[:, None] * a)
     added = nr + s.tableau.shape[1] + np.arange(q)
-    return replace(
-        s, tableau=np.hstack([s.tableau, cols]), nonbasic=np.concatenate([s.nonbasic, added]),
-        rhs=s.rhs.copy(), basis=s.basis.copy(),
-        banned=np.concatenate([s.banned, np.zeros(q, dtype=bool)]),
-        col_of=np.concatenate([s.col_of, added]),
-        shift=np.concatenate([s.shift, np.zeros(q)]))
+    return LpState(lp, np.hstack([s.tableau, cols]), np.concatenate([s.nonbasic, added]),
+                   s.rhs.copy(), s.basis.copy(),
+                   np.concatenate([s.banned, np.zeros(q, dtype=bool)]), s.flip, s.marker,
+                   np.concatenate([s.col_of, added]), np.concatenate([s.shift, np.zeros(q)]))
 
 
 def _full_tableau(s: LpState) -> np.ndarray:
@@ -364,8 +386,9 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
     # how many basic columns have a nonzero cost, and the row of the one
     costed = np.count_nonzero(basic_costs)
     crow = int(basic_costs.nonzero()[0][0]) if costed == 1 else None
-    # the rows whose basic column is artificial (phase 1 bans none)
+    # the rows whose basic column is artificial (phase 1 bans none), and how many
     art = np.zeros(nr, dtype=bool) if banned is None else banned[basis]
+    arts = np.count_nonzero(art)
     bland = False
     stall = 0
     last_obj = float(basic_costs @ b)
@@ -392,19 +415,24 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
                 enter = int(ties[nonbasic[ties].argmin()])
 
         col = T[:, enter]
-        art_rows = art & (np.abs(col) > FEAS_TOL)
-        elig = (col > FEAS_TOL) | art_rows
-        idx = elig.nonzero()[0]
+        if arts:
+            art_rows = art & (np.abs(col) > FEAS_TOL)
+            idx = ((col > FEAS_TOL) | art_rows).nonzero()[0]
+        else:
+            idx = (col > FEAS_TOL).nonzero()[0]
         if idx.size == 0:
             return "unbounded", pivots
         ratios = b[idx] / col[idx]
-        ratios[art_rows[idx]] = 0.0
+        if arts:
+            ratios[art_rows[idx]] = 0.0
         ties = idx[ratios <= ratios[ratios.argmin()] + 1e-12]
         if ties.size == 1:
             leave = int(ties[0])
-        else:
+        elif arts:
             # prefer driving artificials out, then Bland's lowest basis index
             leave = int(ties[np.lexsort((basis[ties], ~art_rows[ties]))[0]])
+        else:
+            leave = int(ties[basis[ties].argmin()])
 
         piv = T[leave, enter]
         T[leave] /= piv
@@ -435,7 +463,9 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
             costed += 1 if now != 0.0 else -1
             if costed == 1:
                 crow = int(basic_costs.nonzero()[0][0])
-        art[leave] = False  # an artificial never enters
+        if art[leave]:  # an artificial never enters
+            art[leave] = False
+            arts -= 1
 
         cur = float(basic_costs @ b)
         if cur > last_obj + 1e-12:
@@ -449,13 +479,6 @@ def _pivot_loop(T, b, basis, nonbasic, costs, banned, cap) -> tuple[str, int]:
     raise LpError(f"simplex exceeded iteration cap of {cap} pivots")
 
 
-def _rhs_and_sense(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' right-hand sides and relations, the latter as in _SENSE."""
-    rhs = np.array([row.rhs for row in lp.rows], dtype=float)
-    sense = np.array([_SENSE[row.relation] for row in lp.rows], dtype=np.int64)
-    return rhs, sense
-
-
 def _verify_primal(lp: LinearProgram, values: np.ndarray) -> None:
     """Check ``values`` against every row and lower bound of ``lp``.
     ``np.bincount`` adds each row's terms in entry order, which is the order
@@ -464,7 +487,7 @@ def _verify_primal(lp: LinearProgram, values: np.ndarray) -> None:
     tol = FEAS_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
     e_row, e_var, e_val = lp.entries
     act = np.bincount(e_row, weights=e_val * values[e_var], minlength=len(lp.rows))
-    rhs, sense = _rhs_and_sense(lp)
+    rhs, sense = lp.rhs_and_sense
     bad = np.where(sense > 0, act > rhs + tol,
                    np.where(sense < 0, act < rhs - tol, np.abs(act - rhs) > tol))
     if bad.any():

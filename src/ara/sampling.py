@@ -19,6 +19,12 @@ Validity check.  ``estimate_mixed`` checks its samples against the source
 game's constraints in one pass after all m are drawn, ``CHECK_BLOCK``
 samples per call of ``CompiledGame.violations``, not one by one as they are
 drawn; it draws nothing, so the order above is the whole draw order.
+
+Stored samples.  Comb rounding and the fixers work on int64 matrices; each
+repaired sample is stored in the narrowest of int8, int16 and int32 that
+holds its smallest and its largest cell (``narrowest_int``), int8 for every
+FAMS sample, and stays int64 only when none does.  No cell wraps, so the
+validity check and ``PureStrategy``'s own checks see the exact values.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from ara.core import (
     MixedStrategyEstimate,
     PureStrategy,
     game_value,
+    narrowest_int,
 )
 from ara.marginal import MarginalSolution
 
@@ -252,7 +259,7 @@ def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
     failures = 0
     for _ in range(m):
         matrix, f = _sample_with_stats(sampler, pe0, fixer, rng)
-        samples.append(PureStrategy(matrix))
+        samples.append(PureStrategy(narrowest_int(matrix)))
         failures += f
     compiled = pe0.source_game.compiled
     for lo in range(0, m, CHECK_BLOCK):

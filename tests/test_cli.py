@@ -165,6 +165,18 @@ class TestSolveCommand:
         run_method("fams", fig1b_fams, "cg", seed=0)
         assert encodes == [fig1b_fams]
 
+    @pytest.mark.parametrize("method", ["rand", "cg", "marginal-bound"])
+    def test_a_fams_solve_builds_the_tables_once(self, fig1b_fams, method, monkeypatch):
+        built, tables = [], fams.FamsTables
+
+        def counted(inst):
+            built.append(inst)
+            return tables(inst)
+
+        monkeypatch.setattr(fams, "FamsTables", counted)
+        run_method("fams", fig1b_fams, method, seed=0, samples=5)
+        assert built == [fig1b_fams]
+
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3
 

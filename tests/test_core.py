@@ -15,6 +15,7 @@ from ara.core import (
     Target,
     check_implementability,
     game_value,
+    narrowest_int,
 )
 from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.tsg import encode_tsg
@@ -266,6 +267,18 @@ class TestCompiledGame:
             assert np.array_equal(row, c.constraint_sums([m])[0])
         assert not sums[1].any() and not sums[-1].any()
 
+    def test_violations_of_narrow_matrices_match_int64(self, fig1c_tsg):
+        # cells of 100 in int8, whose constraint sums pass the int8 range
+        game = encode_tsg(fig1c_tsg)
+        rng = np.random.default_rng(5)
+        wide = rng.integers(0, 101, size=(6, game.k, game.n))
+        narrow = [m.astype(np.int8) for m in wide]
+        want = game.compiled.violations(list(wide))
+        assert any(want)
+        assert game.compiled.violations(narrow) == want
+        assert np.array_equal(game.compiled.constraint_sums(narrow),
+                              game.compiled.constraint_sums(list(wide)))
+
     def test_sums_of_no_matrices_and_of_a_wrong_shape(self):
         game = random_raw_game(np.random.default_rng(1200))
         c = game.compiled
@@ -497,6 +510,38 @@ class TestTypes:
             est.mean[0, 0] = 1.0
         with pytest.raises(GameError, match="at least one sample"):
             MixedStrategyEstimate([])
+
+    def test_estimate_mean_of_narrow_samples_does_not_wrap(self):
+        ones = [PureStrategy(np.ones((1, 1), dtype=np.int8)) for _ in range(200)]
+        assert MixedStrategyEstimate(ones).mean[0, 0] == 1.0
+        big = [PureStrategy(np.full((1, 1), 200, dtype=np.uint8)) for _ in range(2)]
+        assert MixedStrategyEstimate(big).mean[0, 0] == 200.0
+
+    @pytest.mark.parametrize("first, second", [((1, 2), (2, 2)), ((2, 2), (1, 2))])
+    def test_estimate_samples_must_share_a_shape(self, first, second):
+        samples = [PureStrategy(np.zeros(first, dtype=np.int64)),
+                   PureStrategy(np.zeros(second, dtype=np.int64))]
+        with pytest.raises(GameError, match=re.escape(f"shapes {first} and {second}")):
+            MixedStrategyEstimate(samples)
+
+    @pytest.mark.parametrize("cells, dtype", [
+        ([[0, 1]], np.int8), ([[-128, 127]], np.int8), ([[0, 128]], np.int16),
+        ([[-129, 0]], np.int16), ([[0, 2 ** 15]], np.int32), ([[-2 ** 31, 2 ** 31 - 1]], np.int32),
+        ([[0, 2 ** 31]], np.int64), ([[-2 ** 31 - 1, 0]], np.int64),
+    ])
+    def test_narrowest_int_holds_the_smallest_and_the_largest_cell(self, cells, dtype):
+        x = np.array(cells, dtype=np.int64)
+        narrow = narrowest_int(x)
+        assert narrow.dtype == dtype
+        assert np.array_equal(narrow, x)
+        if dtype == np.int64:  # ``x`` as it is
+            assert narrow is x
+
+    def test_narrowest_int_keeps_a_negative_cell_for_the_check(self):
+        narrow = narrowest_int(np.array([[-3, 5]]))
+        assert narrow.dtype == np.int8 and narrow[0, 0] == -3
+        with pytest.raises(GameError, match="negative"):
+            PureStrategy(narrow)
 
     def test_estimate_mean_equals_stacked_mean(self):
         rng = np.random.default_rng(3)

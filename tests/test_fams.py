@@ -586,6 +586,11 @@ class TestSeededColumnGeneration:
         assert cg.iterations == iterations
         assert hashlib.sha256(stacked.tobytes() + cg.weights.tobytes()).hexdigest() == digest
 
+    def test_columns_are_stored_as_int8(self):
+        cg = _cg(_fams_cg_instance(0))
+        assert {s.values.dtype for s in cg.strategies} == {np.dtype(np.int8)}
+        assert not cg.strategies[0].values.any()  # the empty allocation
+
     @pytest.mark.parametrize("seed, forbidden", [(0, False), (2, False), (3, False),
                                                  (6, True), (7, True)])
     def test_master_columns_are_the_compiled_coverages(self, seed, forbidden, monkeypatch):

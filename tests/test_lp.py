@@ -369,6 +369,21 @@ def test_warm_solve_reads_an_edited_objective():
     _assert_dual_certificate(lp, warm)
 
 
+def test_row_bounds_extend_when_a_row_follows_a_solve():
+    lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
+    lp.add_row({0: 1.0, 1: 1.0}, "<=", 4.0)
+    assert solve_lp(lp).objective_value == 4.0
+    lp.add_row({0: 1.0}, ">=", 3.0)
+    lp.add_row({1: 1.0}, "=", 0.5)
+    rhs, sense = lp.rhs_and_sense
+    assert rhs.tolist() == [4.0, 3.0, 0.5] and sense.tolist() == [1, -1, 0]
+    sol = solve_lp(lp)
+    assert sol.values.tolist() == [3.5, 0.5]
+    lp.add_row({0: 1.0}, "<=", 2.0)
+    assert solve_lp(lp).status == "infeasible"
+    assert lp.rhs_and_sense[0].tolist() == [4.0, 3.0, 0.5, 2.0]
+
+
 def test_perturbed_solution_fails_the_primal_check():
     lp = LinearProgram(2, objective=np.array([1.0, 1.0]))
     lp.add_row({0: 1.0, 1: 2.0}, "<=", 4.0, label="cap")

@@ -262,6 +262,51 @@ class TestSeededOutputs:
         assert value == -6.01
         assert digest == "d3f73cae0e5fde30e2164d54d5a4eb7e128842b8ca0d8da7f3fafe22420b4205"
 
+    def test_fams_at_benchmark_scale_stores_int8_samples(self):
+        # the estimate of test_fams_at_benchmark_scale: int64 samples held
+        # 300 x 20 x 200 x 8 B = 9.6 MB
+        inst = gen_fams(GenConfig(seed=0, family="fams", flights=100, schedules=200,
+                                  targets_per_schedule=3, resources=20))
+        pe0 = to_pe0(encode_fams(inst))
+        res = estimate_mixed(solve_marginal(pe0.game), pe0, FamsFixer(inst),
+                             np.random.default_rng(11), m=300)
+        samples = res.estimate.samples
+        assert {s.values.dtype for s in samples} == {np.dtype(np.int8)}
+        assert sum(s.values.nbytes for s in samples) <= 1_200_000
+
+
+class TestStoredDtype:
+    @staticmethod
+    def estimate(cells):
+        """Two samples of a one-row game whose equalities pin each cell to
+        its value in ``cells``, repaired by fixers that change nothing."""
+        n = len(cells)
+        pins = tuple(AssignmentConstraint([(0, j)], v, v, label=f"pin {j}")
+                     for j, v in enumerate(cells))
+        targets = tuple(Target(f"t{j}", [(0, j)], [1.0 / v], -1.0, -2.0)
+                        for j, v in enumerate(cells))
+        game = AraGame(1, n, pins, targets)
+        pe0 = to_pe0(game)
+
+        class Keep:
+            def fix_inequalities(self, x, pe0, rng):
+                return x
+
+            def fix_equalities(self, x, pe0, rng):
+                return x
+
+        ms = solve_marginal(pe0.game)
+        return estimate_mixed(ms, pe0, Keep(), np.random.default_rng(0), m=2)
+
+    @pytest.mark.parametrize("cells, dtype", [([3, 128], np.int16), ([3, 40_000], np.int32),
+                                              ([3, 127], np.int8)])
+    def test_wide_cells_keep_their_values(self, cells, dtype):
+        res = self.estimate(cells)
+        for s in res.estimate.samples:
+            assert s.values.dtype == dtype
+            assert s.values.tolist() == [cells]
+        assert res.estimate.mean.tolist() == [cells]
+
 
 class TestSamplePure:
     def test_fig1b_sampling_is_valid(self, fig1b_fams):

@@ -301,6 +301,16 @@ class TestDetectionRatio:
         assert res.per_category["empty"] == 1.0
         assert res.min_ratio == pytest.approx(worst, abs=1e-12)
 
+    def test_narrow_stack_matches_int64(self, fig1c_tsg):
+        game = encode_tsg(fig1c_tsg)
+        pe0 = to_pe0(game)
+        ms = solve_marginal(pe0.game)
+        est = estimate_mixed(ms, pe0, TsgFixer(fig1c_tsg), np.random.default_rng(8), m=50)
+        stack = np.stack([s.values for s in est.estimate.samples])
+        assert stack.dtype == np.int8
+        assert (tsg_detection_ratio(ms.x_m.values, stack, game)
+                == tsg_detection_ratio(ms.x_m.values, stack.astype(np.int64), game))
+
     def test_instrumented_pipeline_run(self, fig1c_tsg):
         game = encode_tsg(fig1c_tsg)
         pe0 = to_pe0(game)
