@@ -68,7 +68,7 @@ def run_method(family: str, inst, method: str, seed: int, samples: int = DEFAULT
             value = upper = exact_maximin(game, enumerate_pure(game)).value
         elif method == "rand":
             if family == "fams":
-                fixer = FamsFixer(inst, game.tables)  # built by ``encode_fams``
+                fixer = FamsFixer(inst)
             elif family == "tsg":
                 fixer = TsgFixer(inst)
             else:

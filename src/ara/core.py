@@ -452,37 +452,23 @@ class MarginalStrategy:
         object.__setattr__(self, "values", arr)
 
 
-# the dtypes ``narrowest_int`` may store a matrix in, narrowest first
-_NARROW_INTS = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32))
-
-
-def narrowest_int(x: np.ndarray) -> np.ndarray:
-    """The integer matrix ``x`` in the narrowest of int8, int16 and int32
-    that holds both its smallest and its largest cell, so no cell wraps and
-    a negative one stays negative; ``x`` as it is when none holds them."""
-    if x.size:
-        lo, hi = int(x.min()), int(x.max())
-        for info in _NARROW_INTS:
-            if info.min <= lo and hi <= info.max:
-                return x.astype(info.dtype)
-    return x
-
-
 @dataclass(frozen=True)
 class PureStrategy:
     """Integral, nonnegative allocation; ``CompiledGame.violations`` checks
     it against a game's constraints.
 
-    It keeps the integer dtype it is given, so a stored sample may be int8
-    (``narrowest_int``); other dtypes are rounded into int64.  A caller
-    widens before arithmetic whose result can leave that dtype's range:
-    ``np.sum`` and mixed-dtype operations widen by themselves, but ``+``
-    between two int8 matrices and Python's ``sum`` over them do not."""
+    It is stored in the narrowest of int8, int16 and int32 that holds its
+    largest cell, int8 for every FAMS strategy, and in the dtype it is given
+    when none does; a float or bool matrix is rounded into int64 first.
+    A caller widens before arithmetic whose result can leave the stored
+    dtype's range: ``np.sum`` and mixed-dtype operations widen by
+    themselves, but ``+`` between two int8 matrices and Python's ``sum``
+    over them do not."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values)
+        arr = np.asarray(self.values)
         if arr.ndim != 2:
             raise GameError("strategy matrix must be 2-d")
         if arr.dtype.kind not in "iu":  # not an integer dtype
@@ -490,8 +476,12 @@ class PureStrategy:
             if np.any(np.abs(arr - rounded) > 0):
                 raise GameError("pure strategy has fractional cells")
             arr = rounded.astype(np.int64)
-        if arr.size and arr.min() < 0:
+        lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+        if lo < 0:
             raise GameError("pure strategy has negative cells")
+        dtype = (np.int8 if hi < 2 ** 7 else np.int16 if hi < 2 ** 15
+                 else np.int32 if hi < 2 ** 31 else arr.dtype)
+        arr = arr.astype(dtype)  # a copy, also when the dtype stays
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

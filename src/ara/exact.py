@@ -25,7 +25,8 @@ def enumerate_pure(game: AraGame) -> tuple[PureStrategy, ...]:
     The search raises ``GameError`` once it finds more than ``ENUM_CAP``
     strategies.  Every strategy is kept as a k x n matrix, so it also raises
     once the kept matrices would pass ``MAX_ENUM_BYTES``, whatever
-    ``ENUM_CAP`` allows.
+    ``ENUM_CAP`` allows; it counts int64 matrices, the search's own, so it
+    is conservative where ``PureStrategy`` stores them narrower.
     """
     k, n = game.k, game.n
     ncells = k * n
@@ -97,7 +98,7 @@ def enumerate_pure(game: AraGame) -> tuple[PureStrategy, ...]:
             raise GameError(f"more than {len(out)} pure strategies of {k} x {n} cells "
                             f"would pass the {MAX_ENUM_BYTES / 2**30:g} GiB enumeration limit")
         else:
-            out.append(PureStrategy(matrix.copy()))
+            out.append(PureStrategy(matrix))
 
     return tuple(out)
 

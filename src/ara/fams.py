@@ -10,20 +10,22 @@ flights are one int bitmask.  Forbidden pairs enter only through a
 bipartite matching of the restricted schedules to their allowed marshals,
 grown by one augmenting path per restricted pick, so an instance without
 forbidden pairs does no matching work at all.  All four parts read what
-they need of an instance from one ``FamsTables``.
+they need of an instance from its ``FamsTables``, built once per instance
+(``FamsInstance.tables``) and never written after.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from numbers import Integral
 
 import numpy as np
 
 from ara.core import (MAX_CELLS, AraGame, AssignmentConstraint, GameError, PureStrategy, Target,
-                      check_ids, narrowest_int)
+                      check_ids)
 from ara.exact import MaximinSolution, maximin_lp
 from ara.lp import solve_lp
 from ara.sampling import Pe0Form
@@ -104,22 +106,17 @@ class FamsInstance:
             if not 0 <= m < self.num_marshals or sid not in sched_ids:
                 raise GameError(f"forbidden pair ({m}, {sid!r}) references unknown marshal or schedule")
 
-
-@dataclass(frozen=True)
-class FamsGame(AraGame):
-    """The game ``encode_fams`` builds, with the instance's ``FamsTables``
-    it was built from: a solve reads them from here, so that it builds
-    them once."""
-
-    tables: FamsTables = field(kw_only=True, compare=False, repr=False)
+    @cached_property
+    def tables(self) -> "FamsTables":
+        return FamsTables(self)
 
 
-def encode_fams(inst: FamsInstance) -> FamsGame:
+def encode_fams(inst: FamsInstance) -> AraGame:
     """Rows are marshals, columns schedules.  Each marshal gets a unit row
     budget, forbidden pairs pin cells to zero, and each flight becomes a
     unit-weight target over every cell of every schedule containing it,
     with a matching at-most-one allocation constraint."""
-    tables = FamsTables(inst)
+    tables = inst.tables
     k, n = tables.k, tables.n
     grid = np.indices((k, n)).transpose(1, 2, 0)  # grid[i, j] is the pair (i, j)
     constraints = [AssignmentConstraint(grid[i], 0, 1, label=f"marshal {i}") for i in range(k)]
@@ -133,7 +130,7 @@ def encode_fams(inst: FamsInstance) -> FamsGame:
         if len(cells):
             constraints.append(AssignmentConstraint(cells, 0, 1, label=f"flight {f.id}"))
         targets.append(Target(f.id, cells, np.ones(len(cells)), f.u_def, f.u_undef))
-    return FamsGame(k, n, tuple(constraints), tuple(targets), tables=tables)
+    return AraGame(k, n, tuple(constraints), tuple(targets))
 
 
 class FamsFixer:
@@ -169,14 +166,14 @@ class FamsFixer:
     ``rng.integers`` over that flight's allocated schedules in column order;
     the marshal taken off is the lowest row.
 
-    Reads the instance's ``FamsTables``, built once or passed in as
-    ``tables`` (``FamsGame.tables``): each schedule's flight mask
-    (``masks``) and flights in flight order (``flights_of``), and each
+    Reads the instance's ``FamsTables`` (``FamsInstance.tables``, built
+    once per instance and never written after): each schedule's flight
+    mask (``masks``) and flights in flight order (``flights_of``), and each
     flight's rank in id order (``rank``).  The fixer keeps no state between
     calls."""
 
-    def __init__(self, inst: FamsInstance, tables: "FamsTables | None" = None):
-        self.tables = FamsTables(inst) if tables is None else tables
+    def __init__(self, inst: FamsInstance):
+        self.tables = inst.tables
 
     def fix_inequalities(self, x: np.ndarray, pe0: Pe0Form, rng: np.random.Generator) -> np.ndarray:
         masks, flights_of, rank = self.tables.masks, self.tables.flights_of, self.tables.rank
@@ -249,7 +246,10 @@ class FamsTables:
     marshals, None for an unrestricted one (``allowed``), each flight's
     rank in id order (``rank``), and the (flight, schedule) pairs in the
     order ``np.nonzero`` lists a flight x schedule incidence (``flight_of``,
-    ``col_of``)."""
+    ``col_of``).  Built once per instance (``FamsInstance.tables``) and
+    shared by every reader, so the two arrays are read-only and the rest
+    are tuples, but for ``col``: a plain dict, so that an instance still
+    pickles once its tables are built."""
 
     def __init__(self, inst: FamsInstance):
         self.k, self.n = inst.num_marshals, len(inst.schedules)
@@ -271,6 +271,7 @@ class FamsTables:
         order = np.argsort(flight, kind="stable")
         self.flight_of = flight[order]
         self.col_of = np.repeat(np.arange(self.n), list(map(len, self.flights_of)))[order]
+        self.flight_of.flags.writeable = self.col_of.flags.writeable = False
 
 
 def fams_dbr(tables: FamsTables, w: np.ndarray, total_mass: float) -> PureStrategy:
@@ -397,20 +398,18 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
     duplicate check.  The value and weights returned come from one cold
     solve of ``maximin_lp`` over those coverages, in column order: the
     value must agree with the last warm value to 1e-9, and the weights are
-    clipped at zero and normalized, as the enumeration oracle's are.  The
-    columns are stored narrow (``narrowest_int``), int8 for a FAMS column.
+    clipped at zero and normalized, as the enumeration oracle's are.
     """
     game = encode_fams(inst)
     start = time.monotonic()
     compiled = game.compiled  # targets are the flights, in flight order
     u_undef = compiled.payoff_undefended
     delta = compiled.payoff_defended - u_undef
-    tables = game.tables
+    tables = inst.tables
     flight_of, col_of = tables.flight_of, tables.col_of
     mix_row = len(delta)  # master rows: the flights in flight order, then ``mix``
 
-    empty = PureStrategy(narrowest_int(np.zeros((tables.k, tables.n), dtype=np.int64)))
-    columns = [empty]
+    columns = [PureStrategy(np.zeros((tables.k, tables.n), dtype=np.int64))]
     cov = np.zeros(mix_row)
     covs = {cov.tobytes(): cov}  # each column's flight coverage, in column order
     master = maximin_lp(game, cov[None])
@@ -449,7 +448,7 @@ def fams_column_generation(inst: FamsInstance, cutoff_s: float) -> CgResult:
                                 f"disagrees with the cold solve {cold.objective_value}")
             weights = np.maximum(cold.values[:len(columns)], 0.0)
             return CgResult(cold.objective_value, weights / weights.sum(), tuple(columns), it)
-        columns.append(PureStrategy(narrowest_int(column.values)))
+        columns.append(column)
         covs[cov.tobytes()] = cov
         coeffs = {t: -u for t, u in enumerate(util.tolist()) if u != 0.0}
         coeffs[mix_row] = 1.0

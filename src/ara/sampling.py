@@ -20,15 +20,13 @@ game's constraints in one pass after all m are drawn, ``CHECK_BLOCK``
 samples per call of ``CompiledGame.violations``, not one by one as they are
 drawn; it draws nothing, so the order above is the whole draw order.
 
-Stored samples.  Comb rounding and the fixers work on int64 matrices; each
-repaired sample is stored in the narrowest of int8, int16 and int32 that
-holds its smallest and its largest cell (``narrowest_int``), int8 for every
-FAMS sample, and stays int64 only when none does.  No cell wraps, so the
-validity check and ``PureStrategy``'s own checks see the exact values.
+Stored samples.  Comb rounding and the fixers work on int64 matrices, and
+each repaired sample is stored narrow, as ``PureStrategy`` stores itself.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -41,7 +39,6 @@ from ara.core import (
     MixedStrategyEstimate,
     PureStrategy,
     game_value,
-    narrowest_int,
 )
 from ara.marginal import MarginalSolution
 
@@ -51,6 +48,8 @@ RETRY_CAP = 100
 # samples per block of the validity check: the check's temporaries grow with
 # the block's nonzero cells, and a whole estimate's would raise the peak memory
 CHECK_BLOCK = 32
+# largest total size of one estimate's samples
+MAX_SAMPLE_BYTES = 1 << 30
 
 
 class Pe0StructureError(GameError):
@@ -251,15 +250,22 @@ def estimate_mixed(ms: MarginalSolution, pe0: Pe0Form, fixer: DomainFixer,
     on the averaged matrix.  A sample whose equality repair fails is drawn
     again with fresh randomness.  The m samples are checked against the
     source game's constraints after the last is drawn; the first invalid
-    one raises ``GameError``."""
+    one raises ``GameError``, and so does, before the first draw, an m
+    whose samples would keep more than ``MAX_SAMPLE_BYTES`` (one byte per
+    cell, as int8, plus each sample's object overhead)."""
     if m < 1:
         raise GameError("need at least one sample")
+    k, n = pe0.source_game.k, pe0.source_game.n
+    probe = PureStrategy(np.zeros((0, 0), dtype=np.int8))  # a sample's overhead, no cells
+    if m * (k * n + sys.getsizeof(probe) + sys.getsizeof(probe.values)) > MAX_SAMPLE_BYTES:
+        raise GameError(f"{m} samples of {k} x {n} cells would pass the "
+                        f"{MAX_SAMPLE_BYTES / 2**30:g} GiB sample limit")
     sampler = _CombSampler(pe0, ms.x_m.values)
     samples = []
     failures = 0
     for _ in range(m):
         matrix, f = _sample_with_stats(sampler, pe0, fixer, rng)
-        samples.append(PureStrategy(narrowest_int(matrix)))
+        samples.append(PureStrategy(matrix))
         failures += f
     compiled = pe0.source_game.compiled
     for lo in range(0, m, CHECK_BLOCK):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ara import cli, exact, fams, jsonio, lp
+from ara import cli, exact, fams, jsonio, lp, sampling
 from ara.cli import main, run_method
 from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target
 from ara.generators import GenConfig, gen_fams, gen_tsg
@@ -176,6 +176,32 @@ class TestSolveCommand:
         monkeypatch.setattr(fams, "FamsTables", counted)
         run_method("fams", fig1b_fams, method, seed=0, samples=5)
         assert built == [fig1b_fams]
+
+    def test_one_instance_builds_its_tables_once_for_every_method(self, monkeypatch):
+        # a fresh instance: ``fig1b_fams`` is shared by the other tests here
+        inst = gen_fams(GenConfig(seed=5, family="fams", flights=5, schedules=6,
+                                  targets_per_schedule=2, resources=3))
+        built, tables = [], fams.FamsTables
+
+        def counted(inst):
+            built.append(inst)
+            return tables(inst)
+
+        monkeypatch.setattr(fams, "FamsTables", counted)
+        for method in ("rand", "cg", "marginal-bound"):
+            run_method("fams", inst, method, seed=0, samples=5)
+        assert built == [inst]
+
+    def test_samples_past_the_memory_limit_are_a_solver_error(self, tsg_file, capsys,
+                                                              monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a sample was drawn past the limit")
+
+        monkeypatch.setattr(sampling, "_sample_with_stats", drawn)
+        assert main(["solve", "--instance", str(tsg_file), "--method", "rand",
+                     "--samples", "10000000000"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "GiB sample limit" in err[0]
 
     def test_cg_on_tsg_is_a_method_mismatch(self, tsg_file):
         assert main(["solve", "--instance", str(tsg_file), "--method", "cg"]) == 3

@@ -15,7 +15,6 @@ from ara.core import (
     Target,
     check_implementability,
     game_value,
-    narrowest_int,
 )
 from ara.fams import FamsInstance, FlightSpec, Schedule, encode_fams
 from ara.tsg import encode_tsg
@@ -477,10 +476,10 @@ class TestTypes:
 
     @pytest.mark.parametrize("values, expected", [
         (np.array([[2, 0]], dtype=np.int8), np.int8),
-        (np.array([[2, 0]], dtype=np.uint16), np.uint16),
-        (np.array([[2.0, -0.0]]), np.int64),
-        (np.array([[True, False]]), np.int64),
-        (np.zeros((0, 3), dtype=np.int64), np.int64),
+        (np.array([[2, 0]], dtype=np.uint16), np.int8),
+        (np.array([[2.0, -0.0]]), np.int8),
+        (np.array([[True, False]]), np.int8),
+        (np.zeros((0, 3), dtype=np.int64), np.int8),
     ], ids=["int8", "uint16", "float", "bool", "empty"])
     def test_pure_strategy_keeps_integers_and_rounds_the_rest(self, values, expected):
         p = PureStrategy(values)
@@ -525,23 +524,24 @@ class TestTypes:
             MixedStrategyEstimate(samples)
 
     @pytest.mark.parametrize("cells, dtype", [
-        ([[0, 1]], np.int8), ([[-128, 127]], np.int8), ([[0, 128]], np.int16),
-        ([[-129, 0]], np.int16), ([[0, 2 ** 15]], np.int32), ([[-2 ** 31, 2 ** 31 - 1]], np.int32),
-        ([[0, 2 ** 31]], np.int64), ([[-2 ** 31 - 1, 0]], np.int64),
+        ([[0, 1]], np.int8), ([[0, 127]], np.int8), ([[0, 128]], np.int16),
+        ([[0, 2 ** 15 - 1]], np.int16), ([[0, 2 ** 15]], np.int32), ([[0, 2 ** 31 - 1]], np.int32),
+        ([[0, 2 ** 31]], np.int64), ([[0, 2 ** 63 - 1]], np.int64),
     ])
     def test_narrowest_int_holds_the_smallest_and_the_largest_cell(self, cells, dtype):
+        # ``PureStrategy`` stores itself in the narrowest of int8, int16 and
+        # int32 that holds its cells, and as given when none does
         x = np.array(cells, dtype=np.int64)
-        narrow = narrowest_int(x)
-        assert narrow.dtype == dtype
-        assert np.array_equal(narrow, x)
-        if dtype == np.int64:  # ``x`` as it is
-            assert narrow is x
+        p = PureStrategy(x)
+        assert p.values.dtype == dtype
+        assert np.array_equal(p.values, x)
+        assert not np.shares_memory(p.values, x)  # a copy, also when int64 stays
 
     def test_narrowest_int_keeps_a_negative_cell_for_the_check(self):
-        narrow = narrowest_int(np.array([[-3, 5]]))
-        assert narrow.dtype == np.int8 and narrow[0, 0] == -3
-        with pytest.raises(GameError, match="negative"):
-            PureStrategy(narrow)
+        # the check runs before the narrowing copy: -2 ** 40 is 0 in int8
+        for cells in ([[-3, 5]], [[-2 ** 40, 5]]):
+            with pytest.raises(GameError, match="negative"):
+                PureStrategy(np.array(cells, dtype=np.int64))
 
     def test_estimate_mean_equals_stacked_mean(self):
         rng = np.random.default_rng(3)

@@ -111,13 +111,9 @@ def test_matching_pennies_mix():
     game = AraGame(1, 2, (con,), (ta, tb))
     sol = exact_maximin(game, enumerate_pure(game))
     assert sol.value == pytest.approx(-3.0)  # coverage 1/2 on each
-    by_matrix = {s.values.tobytes(): w for w, s in zip(sol.weights, sol.strategies)}
-    a = np.zeros((1, 2), dtype=np.int64)
-    a[0, 0] = 1
-    b = np.zeros((1, 2), dtype=np.int64)
-    b[0, 1] = 1
-    assert by_matrix[a.tobytes()] == pytest.approx(0.5)
-    assert by_matrix[b.tobytes()] == pytest.approx(0.5)
+    by_matrix = {tuple(s.values.ravel().tolist()): w for w, s in zip(sol.weights, sol.strategies)}
+    assert by_matrix[(1, 0)] == pytest.approx(0.5)
+    assert by_matrix[(0, 1)] == pytest.approx(0.5)
 
 
 def test_duplicating_a_strategy_changes_nothing(fig1b_fams):

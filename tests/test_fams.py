@@ -1,4 +1,6 @@
 import hashlib
+import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from ara import exact as exact_mod
 from ara import fams
-from ara.core import CompiledGame, GameError, game_value
+from ara.core import AraGame, CompiledGame, GameError, game_value
 from ara.exact import enumerate_pure, exact_maximin
 from ara.fams import (
     DbrNodeCapError,
@@ -19,9 +21,10 @@ from ara.fams import (
     fams_dbr,
 )
 from ara.generators import GenConfig, gen_fams
+from ara.jsonio import fams_from_json, fams_to_json
 from ara.lp import solve_lp
 from ara.marginal import solve_marginal
-from ara.sampling import _CombSampler, to_pe0
+from ara.sampling import _CombSampler, estimate_mixed, to_pe0
 from conftest import coverage, random_toy_fams, violations, with_random_forbidden
 
 
@@ -135,6 +138,49 @@ class TestInstanceIndexes:
         assert tables.allowed == tuple(
             tuple(np.flatnonzero(~col).tolist()) if col.any() else None for col in pinned.T)
         assert [s.id for s in inst.schedules] == sorted(tables.col, key=tables.col.get)
+
+
+class TestInstanceTables:
+    """Each instance builds its ``FamsTables`` once (``FamsInstance.tables``)
+    and every reader shares them.  Each test builds its own instance, since
+    the cache of a shared one would hide a rebuild."""
+
+    def test_encoding_is_a_plain_game(self):
+        inst = random_toy_fams(np.random.default_rng(760))
+        assert type(encode_fams(inst)) is AraGame
+
+    def test_built_tables_leave_equality_hash_and_json_alone(self):
+        inst = random_toy_fams(np.random.default_rng(761))
+        assert inst.tables is inst.tables
+        parsed = fams_from_json(json.loads(json.dumps(fams_to_json(inst))))
+        assert "tables" not in vars(parsed)  # nothing read it yet
+        assert parsed == inst and hash(parsed) == hash(inst)
+        assert fams_to_json(parsed) == fams_to_json(inst)
+        assert pickle.loads(pickle.dumps(inst)) == inst
+
+    def test_the_fixer_reads_the_instance_tables(self):
+        inst = random_toy_fams(np.random.default_rng(762))
+        assert FamsFixer(inst).tables is inst.tables
+
+    def test_shared_tables_are_read_only(self):
+        tables = with_random_forbidden(random_toy_fams(np.random.default_rng(763)),
+                                       np.random.default_rng(0)).tables
+        for arr in (tables.flight_of, tables.col_of):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        for held in (tables.masks, tables.flights_of, tables.allowed, tables.rank):
+            assert isinstance(held, tuple)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_strategy_of_a_toy_is_int8(self, seed):
+        rng = np.random.default_rng(770 + seed)
+        inst = random_toy_fams(rng)
+        game = encode_fams(inst)
+        pe0 = to_pe0(game)
+        est = estimate_mixed(solve_marginal(pe0.game), pe0, FamsFixer(inst), rng, m=20)
+        strategies = [*enumerate_pure(game), *est.estimate.samples, *_cg(inst).strategies,
+                      fams_dbr(inst.tables, rng.random(game.n), np.inf)]
+        assert {s.values.dtype for s in strategies} == {np.dtype(np.int8)}
 
 
 def _seat(k, n, cols):
@@ -404,7 +450,7 @@ class TestDbr:
             inst = with_random_forbidden(random_toy_fams(rng), rng)
             for _ in range(4):
                 w = rng.integers(1, 4, size=len(inst.schedules)).astype(float)
-                digest.update(_dbr(inst, w).values.tobytes())
+                digest.update(_dbr(inst, w).values.astype(np.int64).tobytes())
         assert digest.hexdigest() == (
             "1c72d4044198728e020129e9760bc0492607e0d4f2fd1cf71ba21c4a5f6e5ccf")
 
@@ -585,6 +631,20 @@ class TestSeededColumnGeneration:
         assert cg.value == value
         assert cg.iterations == iterations
         assert hashlib.sha256(stacked.tobytes() + cg.weights.tobytes()).hexdigest() == digest
+
+    def test_priced_columns_are_the_best_responses(self, monkeypatch):
+        # ``fams_dbr``'s strategies join the columns as they are; the last
+        # one priced does not, as it stops the loop
+        returned, dbr = [], fams.fams_dbr
+
+        def kept(*args):
+            returned.append(dbr(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(fams, "fams_dbr", kept)
+        cg = _cg(_fams_cg_instance(0))
+        assert len(returned) == cg.iterations == len(cg.strategies)
+        assert all(s is r for s, r in zip(cg.strategies[1:], returned[:-1], strict=True))
 
     def test_columns_are_stored_as_int8(self):
         cg = _cg(_fams_cg_instance(0))

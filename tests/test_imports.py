@@ -2,8 +2,8 @@
 top-level function or class is used somewhere in the package, every
 exported function is called from another module of the package, no
 module imports scipy, the generic modules import no domain module, no
-module raises a bare built-in exception, and no domain function reads its
-``pe0`` argument.
+module raises a bare built-in exception, no domain function reads its
+``pe0`` argument, and only ``FamsInstance.tables`` builds ``FamsTables``.
 
 No linter runs on this repository, so this walks the syntax trees instead.
 ``__init__.py`` is left out of the import check: it imports names to
@@ -248,3 +248,39 @@ def test_checker_sees_pe0_readers():
               "        return [lambda: pe0 for _ in x]\n\n"
               "def other(x):\n    return pe0\n")
     assert pe0_readers(source) == ["reads (line 1)", "nested (line 8)"]
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The functions and methods of ``source`` that call ``name(...)`` or
+    ``module.name(...)``, by dotted path and line of the call; a call
+    outside any function is ``<module>``."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                visit(child, [*path, child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append(f"{'.'.join(path) or '<module>'} (line {child.lineno})")
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_fams_tables_are_built_only_by_the_instance():
+    # one instance builds its tables once and every solve shares them; a
+    # second builder would build them again
+    found = [f"{p.stem}.{where}" for p in MODULES for where in callers(p.read_text(), "FamsTables")]
+    assert [where.split(" (")[0] for where in found] == ["fams.FamsInstance.tables"]
+
+
+def test_checker_sees_callers():
+    source = ("class Inst:\n    def tables(self):\n        return Tables(self)\n\n"
+              "def encode(inst):\n    t = [Tables(inst) for _ in ()]\n"
+              "    def inner():\n        return mod.Tables(inst)\n    return Tables\n\n"
+              "DEFAULT = Tables(None)\n")
+    assert callers(source, "Tables") == ["Inst.tables (line 3)", "encode (line 6)",
+                                         "encode.inner (line 8)", "<module> (line 11)"]

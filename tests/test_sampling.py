@@ -1,10 +1,12 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
 from ara import sampling
-from ara.core import AraGame, AssignmentConstraint, GameError, MarginalStrategy, Target, game_value
+from ara.core import (AraGame, AssignmentConstraint, GameError, MarginalStrategy, PureStrategy,
+                      Target, game_value)
 from ara.fams import FamsFixer, encode_fams
 from ara.generators import GenConfig, gen_fams, gen_tsg
 from ara.marginal import MarginalSolution, solve_marginal
@@ -18,7 +20,7 @@ from ara.sampling import (
     to_pe0,
 )
 from ara.tsg import TsgFixer, encode_tsg
-from conftest import constraint_sum, violations
+from conftest import constraint_sum, random_toy_tsg, violations
 
 
 class TestToPe0:
@@ -306,6 +308,53 @@ class TestStoredDtype:
             assert s.values.dtype == dtype
             assert s.values.tolist() == [cells]
         assert res.estimate.mean.tolist() == [cells]
+
+    @pytest.mark.parametrize("inst", [
+        *(pytest.param(random_toy_tsg(np.random.default_rng(780 + seed)), id=f"toy{seed}")
+          for seed in range(4)),
+        pytest.param(gen_tsg(GenConfig(seed=4, family="tsg", flights=40, risk_levels=2,
+                                       resource_types=3, team_types=3)), id="tsg-rand"),
+    ])
+    def test_every_tsg_sample_is_int8(self, inst):
+        pe0 = to_pe0(encode_tsg(inst))
+        res = estimate_mixed(solve_marginal(pe0.game), pe0, TsgFixer(inst),
+                             np.random.default_rng(0), m=50)
+        assert {s.values.dtype for s in res.estimate.samples} == {np.dtype(np.int8)}
+
+
+class TestSampleBudget:
+    """``estimate_mixed`` refuses, before its first draw, an m whose samples
+    would keep more than ``MAX_SAMPLE_BYTES``: one byte per cell plus each
+    sample's object overhead."""
+
+    @staticmethod
+    def setup(fig1c_tsg):
+        pe0 = to_pe0(encode_tsg(fig1c_tsg))
+        probe = PureStrategy(np.zeros((0, 0), dtype=np.int8))
+        per_sample = (pe0.source_game.k * pe0.source_game.n + sys.getsizeof(probe)
+                      + sys.getsizeof(probe.values))
+        return pe0, solve_marginal(pe0.game), TsgFixer(fig1c_tsg), per_sample
+
+    def test_the_refusal_comes_before_any_draw(self, fig1c_tsg, monkeypatch):
+        pe0, ms, fixer, _ = self.setup(fig1c_tsg)
+
+        def no_sampler(*args):
+            raise AssertionError("the sampler was built")
+
+        monkeypatch.setattr(sampling, "_CombSampler", no_sampler)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(GameError, match="GiB sample limit"):
+            estimate_mixed(ms, pe0, fixer, rng, m=10 ** 10)
+        assert rng.bit_generator.state == state
+
+    def test_the_limit_counts_cells_and_overhead(self, fig1c_tsg, monkeypatch):
+        pe0, ms, fixer, per_sample = self.setup(fig1c_tsg)
+        monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", 10 * per_sample)
+        assert len(estimate_mixed(ms, pe0, fixer, np.random.default_rng(0),
+                                  m=10).estimate.samples) == 10
+        with pytest.raises(GameError, match="11 samples of 3 x 3 cells"):
+            estimate_mixed(ms, pe0, fixer, np.random.default_rng(0), m=11)
 
 
 class TestSamplePure:
